@@ -38,8 +38,9 @@ int main() {
                       "accuracy of communities+Rosetta vs baselines, and the TE filter's effect");
 
   const auto ds = bench::make_dataset();
-  const auto v6_paths = core::paths_of(ds.rib, IpVersion::V6);
-  const auto v4_paths = core::paths_of(ds.rib, IpVersion::V4);
+  ThreadPool pool;
+  const auto v6_paths = core::paths_of(ds.rib, IpVersion::V6, pool);
+  const auto v4_paths = core::paths_of(ds.rib, IpVersion::V4, pool);
   const auto v6_links = v6_paths.links();
   const auto v4_links = v4_paths.links();
 
@@ -53,9 +54,9 @@ int main() {
   core::InferenceConfig no_te_filter;
   no_te_filter.rosetta.filter_te = false;
 
-  const auto inf_comm = core::infer_relationships(ds.rib, ds.dict, comm_only);
-  const auto inf_full = core::infer_relationships(ds.rib, ds.dict, full);
-  const auto inf_note = core::infer_relationships(ds.rib, ds.dict, no_te_filter);
+  const auto inf_comm = core::infer_relationships(ds.rib, ds.dict, comm_only, pool);
+  const auto inf_full = core::infer_relationships(ds.rib, ds.dict, full, pool);
+  const auto inf_note = core::infer_relationships(ds.rib, ds.dict, no_te_filter, pool);
 
   // Baselines (AF-agnostic over mixed paths, applied to both planes).
   const auto gao = baselines::infer_gao(mixed);

@@ -24,8 +24,9 @@ int main() {
 
     core::InferenceConfig comm_only;
     comm_only.use_rosetta = false;
-    const auto census_comm = core::run_census(ds.rib, ds.dict, comm_only);
-    const auto census_full = core::run_census(ds.rib, ds.dict);
+    ThreadPool pool;
+    const auto census_comm = core::run_census(ds.rib, ds.dict, comm_only, pool);
+    const auto census_full = core::run_census(ds.rib, ds.dict, {}, pool);
 
     t.row({fmt_double(strip, 2),
            fmt_pct(census_comm.v6_coverage.covered_links,

@@ -26,7 +26,8 @@ int main() {
     params.vantage_tier3 = t3;
     params.vantage_stub = st;
     const auto ds = bench::make_dataset(params);
-    const auto census = core::run_census(ds.rib, ds.dict);
+    ThreadPool pool;
+    const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
 
     std::unordered_set<LinkKey, LinkKeyHash> planted;
     for (const auto& g : ds.net.hybrid_links()) planted.insert(g.link);

@@ -20,7 +20,8 @@ int main() {
                       "correcting the top-20 hybrid links");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
 
   // The baseline of prior work ([4] and its kin): one relationship per AS
   // link, generalized across address families — i.e. the (correct) IPv4

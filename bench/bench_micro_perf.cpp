@@ -124,10 +124,8 @@ BENCHMARK(BM_CommunityInference);
 void BM_InferRelationships(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(jobs);
-  core::InferenceConfig config;
-  config.threads = jobs;
   for (auto _ : state) {
-    auto result = core::infer_relationships(bits().rib, bits().dict, config, pool);
+    auto result = core::infer_relationships(bits().rib, bits().dict, {}, pool);
     benchmark::DoNotOptimize(result);
   }
   state.counters["routes"] = static_cast<double>(bits().rib.size());
@@ -138,21 +136,20 @@ BENCHMARK(BM_InferRelationships)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 // Full census (path stores, inference, hybrids, valley census) across job
 // counts; reports are byte-identical, only wall time changes.
 void BM_RunCensus(benchmark::State& state) {
-  core::InferenceConfig config;
-  config.threads = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto report = core::run_census(bits().rib, bits().dict, config);
+    auto report = core::run_census(bits().rib, bits().dict, {}, pool);
     benchmark::DoNotOptimize(report);
   }
   state.counters["jobs"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_RunCensus)->Arg(1)->Arg(4)->UseRealTime();
 
-// --- ingest: streaming vs load-all ------------------------------------------
+// --- ingest ------------------------------------------------------------------
 //
-// Peak RSS is a per-process high-water mark, so measuring both ingest paths
-// in one process would let whichever runs first poison the other's number.
-// Each iteration forks a child that performs ONE ingest of the bench RIB and
+// Peak RSS is a per-process high-water mark, so measuring ingest in the
+// bench process would let whatever ran earlier poison the number.  Each
+// iteration forks a child that performs ONE ingest of the bench RIB and
 // reports its own ru_maxrss back through a pipe.  A forked child still
 // inherits the parent's resident COW pages, so an idle-child baseline is
 // probed once and subtracted — peak_rss_mb is the ingest's own high-water
@@ -161,8 +158,7 @@ BENCHMARK(BM_RunCensus)->Arg(1)->Arg(4)->UseRealTime();
 
 /// On-disk bench RIB, written once per process (PID-suffixed so concurrent
 /// bench runs never race on the file).  Larger than the unit-test dumps so
-/// the whole-file and whole-Record-vector materializations of the load-all
-/// path actually show up in RSS.
+/// the ingest's batch and RIB memory actually show up in RSS.
 const std::string& bench_rib_path() {
   static const std::string path = [] {
     const auto net = gen::SyntheticInternet::generate(gen::small_params(11));
@@ -251,25 +247,6 @@ void BM_IngestStreaming(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(jobs);
 }
 BENCHMARK(BM_IngestStreaming)->Arg(1)->Arg(4)->UseRealTime();
-
-void BM_IngestLoadAll(benchmark::State& state) {
-  const std::string path = bench_rib_path();
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  IngestProbe last;
-  for (auto _ : state) {
-    last = probe_ingest_in_child([&] {
-      ThreadPool pool(jobs);
-      const auto data = mrt::load_file(path);
-      return static_cast<std::uint64_t>(
-          mrt::rib_from_records(mrt::read_all(data), pool).size());
-    });
-    benchmark::DoNotOptimize(last);
-  }
-  state.counters["peak_rss_mb"] = ingest_delta_mb(last);
-  state.counters["routes"] = static_cast<double>(last.routes);
-  state.counters["jobs"] = static_cast<double>(jobs);
-}
-BENCHMARK(BM_IngestLoadAll)->Arg(1)->Arg(4)->UseRealTime();
 
 #endif  // __unix__
 
@@ -394,7 +371,8 @@ BENCHMARK(BM_PipelineThroughput)->Arg(2)->Arg(1024)->UseRealTime();
 /// Census snapshot of the shared dataset, built once.
 const snapshot::Snapshot& snapshot_fixture() {
   static const snapshot::Snapshot snap = [] {
-    const auto report = core::run_census(bits().rib, bits().dict);
+    ThreadPool pool;
+    const auto report = core::run_census(bits().rib, bits().dict, {}, pool);
     return core::to_snapshot(report, "bench/rib.mrt", 1281052800u);
   }();
   return snap;
@@ -452,18 +430,13 @@ void BM_SnapshotDiff(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotDiff);
 
-/// Daemon hot-reload cost by on-disk format: QueryIndex::open() is exactly
-/// what reload() runs — read + validate + wrap for a v2 file, decode +
-/// re-encode for a v1 file.  Arg is the file's format version, so the
-/// /1-over-/2 ratio is the win of the flat layout's zero-decode reload.
+/// Daemon hot-reload cost: QueryIndex::open() is exactly what reload()
+/// runs — read + validate + wrap, with no per-entry decode.
 void BM_SnapshotMapReload(benchmark::State& state) {
-  const auto version = static_cast<std::uint32_t>(state.range(0));
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("htor_bench_reload_" + std::to_string(::getpid()) + "_v" + std::to_string(version) +
-        ".snap"))
-          .string();
-  const auto bytes = snapshot::Writer::encode_versioned(snapshot_fixture(), version);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("htor_bench_reload_" + std::to_string(::getpid()) + ".snap"))
+                               .string();
+  const auto bytes = snapshot::Writer::encode(snapshot_fixture());
   save_bytes(path, bytes);
   for (auto _ : state) {
     auto index = snapshot::QueryIndex::open(path);
@@ -471,9 +444,8 @@ void BM_SnapshotMapReload(benchmark::State& state) {
   }
   std::filesystem::remove(path);
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
-  state.counters["format"] = static_cast<double>(version);
 }
-BENCHMARK(BM_SnapshotMapReload)->Arg(2)->Arg(1);
+BENCHMARK(BM_SnapshotMapReload);
 
 // --- observability -----------------------------------------------------------
 

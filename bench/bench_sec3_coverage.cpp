@@ -13,7 +13,8 @@ int main() {
                       "relationships for 72% of IPv6 links, 81% of IPv4/IPv6 links");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
 
   Table t({"metric", "paper", "measured"});
   t.row({"IPv6 links covered", "7651 (72%)",

@@ -15,7 +15,8 @@ int main() {
                       "346,649 IPv6 paths; 10,535 IPv6 links; 7,618 dual-stack links");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
 
   Table t({"metric", "paper (Aug 2010)", "measured (synthetic)"});
   t.row({"IPv6 AS paths (distinct)", "346649", std::to_string(census.v6_paths)});

@@ -14,7 +14,8 @@ int main() {
                       "779 (13%) hybrid links; 67% p2p(v4)/transit(v6); 1 reversal");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
   const auto& h = census.hybrids;
 
   Table t({"metric", "paper", "measured"});

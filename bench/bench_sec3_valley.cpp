@@ -17,7 +17,8 @@ int main() {
                       "reachability-required; v6 partitioned under valley-free");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
 
   Table t({"metric", "paper", "measured"});
   const auto& v6 = census.v6_valleys;

@@ -12,7 +12,8 @@ int main() {
                       ">28% of IPv6 paths traverse a hybrid link; hybrids among tier-1/2");
 
   const auto ds = bench::make_dataset();
-  const auto census = core::run_census(ds.rib, ds.dict);
+  ThreadPool pool;
+  const auto census = core::run_census(ds.rib, ds.dict, {}, pool);
   const auto& h = census.hybrids;
 
   Table t({"metric", "paper", "measured"});

@@ -23,7 +23,8 @@ Dataset make_dataset(const gen::GenParams& params) {
   ds.mrt_bytes = writer.data().size();
   const auto records = mrt::read_all(writer.data());
   ds.mrt_records = records.size();
-  ds.rib = mrt::rib_from_records(records);
+  ThreadPool pool;
+  ds.rib = mrt::rib_from_records(records, pool);
 
   ds.dict = rpsl::mine_dictionary(rpsl::parse_objects(ds.net.irr_dump()));
   return ds;

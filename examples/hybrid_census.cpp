@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
        mrt::records_from_rib(net.collect(), 0x0a0a0a0au, "census", 1281052800u)) {
     writer.write(record);
   }
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()));
+  ThreadPool pool;
+  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto census = core::run_census(rib, dict);
+  const auto census = core::run_census(rib, dict, {}, pool);
 
   std::cout << "\n===== dataset =====\n";
   Table ds({"metric", "value"});

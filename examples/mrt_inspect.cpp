@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   std::cout << path << ": " << data.size() << " bytes, " << records.size() << " records\n";
 
   if (routes_mode) {
-    const auto rib = mrt::rib_from_records(records);
+    ThreadPool pool;
+    const auto rib = mrt::rib_from_records(records, pool);
     for (const auto& route : rib.routes()) {
       std::cout << route.prefix.to_string() << " via AS" << route.peer_asn << " path [";
       for (std::size_t i = 0; i < route.as_path.size(); ++i) {

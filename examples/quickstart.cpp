@@ -36,13 +36,14 @@ int main() {
   std::cout << "collector RIB: " << writer.data().size() << " bytes of MRT\n";
 
   // 3. Parse the bytes back and mine the IRR text.
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()));
+  ThreadPool pool;  // one job: runs inline
+  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   std::cout << "community dictionary: " << dict.size() << " entries from "
             << dict.documented_asns().size() << " documented ASes\n";
 
   // 4. The paper's census.
-  const auto census = core::run_census(rib, dict);
+  const auto census = core::run_census(rib, dict, {}, pool);
   std::cout << "\n--- census ---\n";
   std::cout << "IPv6 AS paths:        " << census.v6_paths << "\n";
   std::cout << "IPv6 AS links:        " << census.v6_links << " ("

@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
 
   // Explore against ground truth: every annotation is exact.
   const auto& truth = net.truth(IpVersion::V6);
-  const auto v6_paths = core::paths_of(rib, IpVersion::V6);
+  ThreadPool pool;
+  const auto v6_paths = core::paths_of(rib, IpVersion::V6, pool);
   std::unordered_set<Asn> relaxed(net.relaxed_ases().begin(), net.relaxed_ases().end());
 
   std::cout << "IPv6 plane: " << v6_paths.unique_paths() << " distinct AS paths\n";
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
   });
 
   // Aggregate, for context.
-  const auto census = core::census_valleys(v6_paths, truth);
+  const auto census = core::census_valleys(v6_paths, truth, pool);
   std::cout << "\naggregate: " << census.valley << " valley paths of " << census.paths << " ("
             << 100.0 * census.valley_fraction() << "%), " << census.necessary_valleys << " of "
             << census.classified_valleys << " classified valleys are reachability-required\n";

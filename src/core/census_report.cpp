@@ -1,15 +1,8 @@
 #include "core/census_report.hpp"
 
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace htor::core {
-
-CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
-                        const InferenceConfig& config) {
-  ThreadPool pool(config.threads);
-  return run_census(rib, dict, config, pool);
-}
 
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool) {

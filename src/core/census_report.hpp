@@ -38,11 +38,8 @@ struct CensusReport {
   PathStore v6_path_store;
 };
 
-CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
-                        const InferenceConfig& config = {});
-
-/// Same census on the caller's pool (config.threads is ignored; the pool's
-/// size decides the parallelism).
+/// The whole census on `pool`.  The pool's size decides the parallelism;
+/// every size gives a byte-identical report, and ThreadPool(1) runs inline.
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool);
 

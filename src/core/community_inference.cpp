@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "core/parallel.hpp"
-
 namespace htor::core {
 
 namespace {
@@ -133,20 +131,6 @@ CommunityInferenceResult infer_from_communities(
     const std::vector<const mrt::ObservedRoute*>& routes,
     const rpsl::CommunityDictionary& dict, const CommunityInferenceParams& params) {
   return tally_community_votes(scan_community_votes(routes, 0, routes.size(), dict), params);
-}
-
-CommunityInferenceResult infer_from_communities(
-    const std::vector<const mrt::ObservedRoute*>& routes,
-    const rpsl::CommunityDictionary& dict, const CommunityInferenceParams& params,
-    ThreadPool& pool) {
-  CommunityVotes merged = shard_map_reduce(
-      pool, routes.size(),
-      [&routes, &dict](const ShardRange& range) {
-        return scan_community_votes(routes, range.begin, range.end, dict);
-      },
-      CommunityVotes{},
-      [](CommunityVotes& acc, CommunityVotes&& shard) { acc.merge(shard); });
-  return tally_community_votes(merged, params);
 }
 
 }  // namespace htor::core

@@ -17,7 +17,6 @@
 #include "mrt/rib_view.hpp"
 #include "rpsl/community_dict.hpp"
 #include "topology/relationship.hpp"
-#include "util/thread_pool.hpp"
 
 namespace htor::core {
 
@@ -59,16 +58,10 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
 CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,
                                                const CommunityInferenceParams& params = {});
 
-/// Infer relationships for one address family's routes.
+/// Infer relationships for one address family's routes: one scan over all
+/// of them, then the tally.  (infer_relationships shards the scan itself.)
 CommunityInferenceResult infer_from_communities(
     const std::vector<const mrt::ObservedRoute*>& routes,
     const rpsl::CommunityDictionary& dict, const CommunityInferenceParams& params = {});
-
-/// Same inference with the route scan sharded on `pool` (deterministic:
-/// identical to the sequential overload for any pool size).
-CommunityInferenceResult infer_from_communities(
-    const std::vector<const mrt::ObservedRoute*>& routes,
-    const rpsl::CommunityDictionary& dict, const CommunityInferenceParams& params,
-    ThreadPool& pool);
 
 }  // namespace htor::core

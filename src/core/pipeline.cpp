@@ -4,20 +4,14 @@
 #include <unordered_set>
 
 #include "core/parallel.hpp"
-#include "mrt/reader.hpp"
 #include "mrt/stream_reader.hpp"
 #include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace htor::core {
 
-mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool,
-                          const IngestOptions& options) {
-  if (options.streaming) {
-    return mrt::rib_from_stream(path, pool, options.batch_records);
-  }
-  const auto data = mrt::load_file(path);
-  return mrt::rib_from_records(mrt::read_all(data), pool);
+mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool) {
+  return mrt::rib_from_stream(path, pool);
 }
 
 namespace {
@@ -38,13 +32,6 @@ CommunityVotes collect_votes(std::vector<std::future<CommunityVotes>>& futures,
 }
 
 }  // namespace
-
-InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
-                                          const rpsl::CommunityDictionary& dict,
-                                          const InferenceConfig& config) {
-  ThreadPool pool(config.threads);
-  return infer_relationships(rib, dict, config, pool);
-}
 
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
@@ -136,14 +123,6 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
   return out;
 }
 
-PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af) {
-  PathStore store;
-  for (const auto& route : rib.routes()) {
-    if (route.af == af) store.add(route.as_path);
-  }
-  return store;
-}
-
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool) {
   const auto& routes = rib.routes();
   return shard_map_reduce(
@@ -165,21 +144,6 @@ CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap&
     if (rels.get(key.first, key.second) != Relationship::Unknown) ++stats.covered_links;
   }
   return stats;
-}
-
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths) {
-  const auto v4_links = v4_paths.links();
-  std::unordered_set<LinkKey, LinkKeyHash> v4_set(v4_links.begin(), v4_links.end());
-  std::vector<LinkKey> out;
-  for (const LinkKey& key : v6_paths.links()) {
-    if (v4_set.count(key)) out.push_back(key);
-  }
-  return out;
-}
-
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths,
-                                      ThreadPool& pool) {
-  return dual_stack_links(v4_paths.links(), v6_paths.links(), pool);
 }
 
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,

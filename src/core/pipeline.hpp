@@ -14,29 +14,13 @@ struct InferenceConfig {
   CommunityInferenceParams community;
   RosettaParams rosetta;
   bool use_rosetta = true;
-  /// Worker jobs for the census hot paths (ThreadPool semantics: 0 = one
-  /// per hardware thread, 1 = inline/sequential).  Any value produces
-  /// byte-identical results; see core/parallel.hpp.
-  std::size_t threads = 1;
 };
 
-/// How the census acquires its RIB from an on-disk MRT file.
-struct IngestOptions {
-  /// Streaming (the default): scan record headers sequentially, decode raw
-  /// bodies in fixed parallel batches, and join routes straight into the
-  /// ObservedRib — peak memory stays one batch deep.  When false, the
-  /// load-all path materializes the whole file and a full Record vector
-  /// before joining (~3× the decoded RIB at peak).
-  bool streaming = true;
-  /// Records per streaming decode batch; 0 uses mrt::kStreamBatchRecords.
-  std::size_t batch_records = 0;
-};
-
-/// Load a collector RIB from `path` by either ingest path.  Both paths
-/// produce byte-identical ObservedRibs at any pool size and fail with the
-/// same DecodeError discipline on malformed input.
-mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool,
-                          const IngestOptions& options = {});
+/// Load a collector RIB from `path` by streaming it (mrt::rib_from_stream):
+/// record headers are scanned sequentially, bodies decode in fixed batches
+/// on `pool`, and routes join straight into the ObservedRib, so peak memory
+/// stays one batch deep.  Identical at any pool size.
+mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool);
 
 struct CoverageStats {
   std::size_t observed_links = 0;
@@ -59,39 +43,27 @@ struct InferredRelationships {
   RosettaResult rosetta_v6;
 };
 
-/// Run the full inference over a collector RIB.  Creates its own pool from
-/// `config.threads`.
-InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
-                                          const rpsl::CommunityDictionary& dict,
-                                          const InferenceConfig& config = {});
-
-/// Same, sharing the caller's pool (the per-route community scans of both
-/// address families are in flight together, then the two Rosetta passes run
-/// as one pool task per family).
+/// Run the full inference over a collector RIB on `pool` (the per-route
+/// community scans of both address families are in flight together, then
+/// the two Rosetta passes run as one pool task per family).  The pool's
+/// size decides the parallelism; every size gives the same result, and
+/// ThreadPool(1) runs inline.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);
 
-/// Distinct AS paths of one family, as a PathStore.
-PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af);
-
-/// Sharded variant: per-route extraction runs on `pool`, shards merge in
-/// shard order (deterministic for any pool size).
+/// Distinct AS paths of one family, as a PathStore.  Per-route extraction
+/// runs on `pool`; shards merge in shard order (deterministic for any pool
+/// size).
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool);
 
 /// How many of `links` the map can type.
 CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap& rels);
 
-/// Links observed in both families (intersection of the two path link sets).
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths);
-
-/// Sharded variant of the intersection scan; output order matches the
-/// sequential overload exactly.
-std::vector<LinkKey> dual_stack_links(const PathStore& v4_paths, const PathStore& v6_paths,
-                                      ThreadPool& pool);
-
-/// Same intersection over already-extracted link vectors (callers that hold
-/// PathStore::links() results avoid re-extracting and re-sorting them).
+/// Links observed in both families: the v6 links (in their given order)
+/// that also appear among the v4 links.  Pass PathStore::links() of the two
+/// families' path stores.  The scan shards on `pool`; the output order is
+/// the same for any pool size.
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,
                                       const std::vector<LinkKey>& v6_links, ThreadPool& pool);
 

@@ -97,31 +97,6 @@ bool valley_is_necessary(Asn src, Asn dst, const RelationshipMap& rels) {
   return !oracle.reachable(src, dst);
 }
 
-ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels) {
-  ValleyCensus census;
-  ReachOracle oracle(rels);
-
-  paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
-    ++census.paths;
-    const ValleyCheckResult check = check_valley_free(path, rels);
-    switch (check.cls) {
-      case PathPolicyClass::ValleyFree:
-        ++census.valley_free;
-        return;
-      case PathPolicyClass::Incomplete:
-        ++census.incomplete;
-        return;
-      case PathPolicyClass::Valley:
-        break;
-    }
-    ++census.valley;
-    if (check.unknown_links > 0) return;  // endpoints typed, but gaps remain
-    ++census.classified_valleys;
-    if (!oracle.reachable(path.front(), path.back())) ++census.necessary_valleys;
-  });
-  return census;
-}
-
 ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels,
                             ThreadPool& pool) {
   // Snapshot the distinct paths so shards can index them.

@@ -34,12 +34,9 @@ struct ValleyCensus {
 /// Classify every distinct path in `paths` under `rels`.  The necessity test
 /// runs valley-free reachability over the link set of `rels` itself (the
 /// best topology knowledge available to the measurement, as in the paper).
-ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels);
-
-/// Sharded variant: path classification shards on `pool`, and the
-/// valley-free BFS runs one pool task per distinct vantage source.  Counters
-/// are additive, so the result equals the sequential overload for any pool
-/// size.
+/// Path classification shards on `pool`, and the valley-free BFS runs one
+/// pool task per distinct vantage source.  Counters are additive, so the
+/// result is the same for any pool size.
 ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels,
                             ThreadPool& pool);
 

@@ -13,7 +13,8 @@ namespace {
 
 /// Feed a route's links through the global Bloom seen-set, in path order.
 /// Runs on the sequential apply leg only, so the feed order is the record
-/// order — identical for every --jobs value and for both ingest paths.
+/// order — identical for every --jobs value and for the in-memory and the
+/// streaming join.
 void note_route_links(obs::sketch::Telemetry& telemetry, const ObservedRoute& route) {
   std::uint32_t prev = 0;
   bool have_prev = false;
@@ -65,33 +66,6 @@ std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
 
 std::size_t ObservedRib::size_of(IpVersion af) const {
   return af == IpVersion::V4 ? v4_count_ : v6_count_;
-}
-
-ObservedRib rib_from_records(const std::vector<Record>& records) {
-  ObservedRib rib;
-  auto& telemetry = obs::sketch::Telemetry::global();
-  obs::sketch::IngestBundle sketches;
-  const PeerIndexTable* peers = nullptr;
-  for (const auto& record : records) {
-    if (const auto* pit = std::get_if<PeerIndexTable>(&record.body)) {
-      peers = pit;
-      continue;
-    }
-    const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
-    if (rib_rec == nullptr) continue;  // BGP4MP / raw records are not RIB state
-    if (peers == nullptr) {
-      throw DecodeError("RIB record before any PEER_INDEX_TABLE");
-    }
-    std::vector<ObservedRoute> joined;
-    join_rib_record(*rib_rec, *peers, joined);
-    for (auto& route : joined) {
-      sketches.add_route(route.prefix, route.as_path);
-      note_route_links(telemetry, route);
-      rib.add(std::move(route));
-    }
-  }
-  telemetry.absorb(sketches);
-  return rib;
 }
 
 ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool) {

@@ -57,13 +57,10 @@ void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers
 
 /// Join RIB records against their PEER_INDEX_TABLE.  Records before the
 /// first peer-index table are rejected (DecodeError), as are entries whose
-/// peer index is out of range.  AS_SETs are flattened into the path.
-ObservedRib rib_from_records(const std::vector<Record>& records);
-
-/// Sharded variant of the join: a sequential pre-scan maps every record to
-/// its governing peer-index table (and fails fast on records before the
-/// first one), then the per-record entry joins run on `pool` and merge in
-/// shard order — the resulting RIB is identical to the sequential overload.
+/// peer index is out of range.  AS_SETs are flattened into the path.  A
+/// sequential pre-scan maps every record to its governing peer-index table,
+/// then the per-record entry joins run on `pool` and merge in shard order —
+/// the resulting RIB is the same for any pool size.
 ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool);
 
 /// Serialize an observed RIB back to MRT TABLE_DUMP_V2 records (one

@@ -95,8 +95,8 @@ void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRi
       telemetry.absorb(shard.sketches);
       for (auto& route : shard.routes) {
         // Bloom pre-filter on the sequential leg: the feed order is the
-        // record order, identical at every --jobs value and for both the
-        // streaming and load-all ingest paths.
+        // record order, identical at every --jobs value and to the
+        // in-memory rib_from_records join.
         std::uint32_t prev = 0;
         bool have_prev = false;
         for (const std::uint32_t asn : route.as_path) {
@@ -238,11 +238,6 @@ ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
   }
   flush_batch(batch, pool, rib);
   return rib;
-}
-
-ObservedRib rib_from_stream(const std::string& path) {
-  ThreadPool inline_pool(1);
-  return rib_from_stream(path, inline_pool);
 }
 
 }  // namespace htor::mrt

@@ -4,8 +4,8 @@
 // whole file or a full Record vector.
 //
 // Peak memory is one batch of raw bodies plus their decoded routes plus the
-// growing RIB, versus the load-all path's whole-file buffer plus whole-file
-// Record vector plus RIB.  Batches have a FIXED record count and shard with
+// growing RIB, instead of a whole-file buffer plus a whole-file Record
+// vector plus the RIB.  Batches have a FIXED record count and shard with
 // the same fixed shard_ranges() as the in-memory join, merging strictly in
 // record order, so rib_from_stream() is byte-identical to
 // rib_from_records(read_all(load_file(path))) at any pool size.
@@ -86,8 +86,5 @@ inline constexpr std::size_t kStreamBatchRecords = 4096;
 /// rib_from_records(read_all(load_file(path))).
 ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
                             std::size_t batch_records = kStreamBatchRecords);
-
-/// Sequential convenience overload (inline pool).
-ObservedRib rib_from_stream(const std::string& path);
 
 }  // namespace htor::mrt

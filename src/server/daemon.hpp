@@ -18,9 +18,8 @@
 //     reaped after `idle_timeout_ms`.
 //   - The serving state (a zero-copy QueryIndex view + epoch counter) is
 //     immutable behind a shared_ptr.  Hot reload — POST /v1/reload or
-//     SIGHUP via request_reload() — is read-validate-swap: for a v2
-//     snapshot the file bytes are validated in place and wrapped with no
-//     per-entry decode (v1 files fall back to the eager decode path).  The
+//     SIGHUP via request_reload() — is read-validate-swap: the file bytes
+//     are validated in place and wrapped with no per-entry decode.  The
 //     bytes are *owned*, not a live mmap of the file: the snapshot path can
 //     be truncated or rewritten in place underneath a running daemon (the
 //     torn-file stress tests do exactly that), and owned bytes fail that

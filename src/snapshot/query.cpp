@@ -32,29 +32,17 @@ struct OpenScope {
 
 }  // namespace
 
-QueryIndex::QueryIndex(std::shared_ptr<const MappedSnapshot> image,
-                       std::uint32_t source_version, std::uint64_t file_bytes)
-    : image_(std::move(image)), source_version_(source_version), file_bytes_(file_bytes) {}
+QueryIndex::QueryIndex(std::shared_ptr<const MappedSnapshot> image) : image_(std::move(image)) {}
 
 QueryIndex::QueryIndex(const Snapshot& snap)
-    : QueryIndex(MappedSnapshot::from_bytes(Writer::encode(snap)), snap.header.version, 0) {
-  file_bytes_ = image_->byte_size();
-}
+    : QueryIndex(MappedSnapshot::from_bytes(Writer::encode(snap))) {}
 
 QueryIndex QueryIndex::open(const std::string& path) {
   OBS_SPAN("snapshot.open");
   OpenScope scope("eager");
   std::vector<std::uint8_t> bytes = load_bytes(path);
-  const std::uint64_t file_bytes = bytes.size();
-  const std::uint32_t version = Reader::probe(bytes).version;
-  if (version == 2) {
-    QueryIndex index{MappedSnapshot::from_bytes(std::move(bytes)), version, file_bytes};
-    scope.ok = true;
-    return index;
-  }
-  // v1: eager decode, then re-encode as an in-memory v2 image.
-  const Snapshot snap = Reader::decode(bytes);
-  QueryIndex index{MappedSnapshot::from_bytes(Writer::encode(snap)), version, file_bytes};
+  Reader::probe(bytes);  // a reasoned rejection of any other format version
+  QueryIndex index{MappedSnapshot::from_bytes(std::move(bytes))};
   scope.ok = true;
   return index;
 }
@@ -63,15 +51,8 @@ QueryIndex QueryIndex::open_mapped(const std::string& path) {
   OBS_SPAN("snapshot.open");
   OpenScope scope("mapped");
   MmapFile file(path);
-  const std::uint64_t file_bytes = file.size();
-  const std::uint32_t version = Reader::probe(file.data()).version;
-  if (version == 2) {
-    QueryIndex index{MappedSnapshot::from_map(std::move(file)), version, file_bytes};
-    scope.ok = true;
-    return index;
-  }
-  const Snapshot snap = Reader::decode(file.data());
-  QueryIndex index{MappedSnapshot::from_bytes(Writer::encode(snap)), version, file_bytes};
+  Reader::probe(file.data());
+  QueryIndex index{MappedSnapshot::from_map(std::move(file))};
   scope.ok = true;
   return index;
 }

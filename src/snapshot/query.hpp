@@ -8,9 +8,6 @@
 // The view holds shared ownership of the image, so copies stay valid after
 // the file on disk changes and after a daemon hot-reload swap; the image is
 // unmapped/freed when the last view drops.
-//
-// v1 inputs transparently fall back to the eager path: decode, re-encode as
-// an in-memory v2 image, wrap.  Answers are identical either way.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +28,14 @@ class QueryIndex {
   /// not encodable — the same rules as Writer::encode.
   explicit QueryIndex(const Snapshot& snap);
 
-  /// Open a snapshot file into an *owned* image: read, validate, wrap (v2)
-  /// or decode eagerly and re-encode (v1).  This is the daemon's reload
-  /// path — owned bytes survive the file being truncated or rewritten in
-  /// place underneath a running server, which an mmap would not (SIGBUS).
+  /// Open a snapshot file into an *owned* image: read, validate, wrap.
+  /// This is the daemon's reload path — owned bytes survive the file being
+  /// truncated or rewritten in place underneath a running server, which an
+  /// mmap would not (SIGBUS).
   static QueryIndex open(const std::string& path);
 
-  /// Open a v2 snapshot file zero-copy via mmap (v1 falls back to the eager
-  /// path).  For short-lived CLI lookups: the kernel pages in only what the
-  /// binary search touches.  The mapping pins the inode, so views keep
+  /// Open a snapshot file zero-copy via mmap.  For short-lived CLI lookups:
+  /// the kernel pages in only what the binary search touches.  The mapping pins the inode, so views keep
   /// working after the path is rename()-replaced — but not after an
   /// in-place truncation, which is why the daemon uses open() instead.
   static QueryIndex open_mapped(const std::string& path);
@@ -76,13 +72,10 @@ class QueryIndex {
 
   // -- snapshot metadata, straight from the image ------------------------
 
-  /// Format version of the *origin*: the file this index was opened from
-  /// (1 for an eagerly upgraded v1 file) or the encoded snapshot's version.
-  std::uint32_t format_version() const { return source_version_; }
-  /// Byte size of the origin snapshot (file size, or encoded size).
-  std::uint64_t snapshot_bytes() const { return file_bytes_; }
-  /// Byte size of the v2 image answering queries.
-  std::uint64_t mapped_bytes() const { return image_->byte_size(); }
+  /// Format version of the image (every index is a v2 image).
+  std::uint32_t format_version() const { return kFormatVersion; }
+  /// Byte size of the image: the file's size, or the encoded snapshot's.
+  std::uint64_t snapshot_bytes() const { return image_->byte_size(); }
   /// True when the image is an mmap rather than owned memory.
   bool is_mapped() const { return image_->is_mapped(); }
 
@@ -97,14 +90,11 @@ class QueryIndex {
   HybridCounters hybrid_counters() const { return view().hybrid_counters(); }
 
  private:
-  QueryIndex(std::shared_ptr<const MappedSnapshot> image, std::uint32_t source_version,
-             std::uint64_t file_bytes);
+  explicit QueryIndex(std::shared_ptr<const MappedSnapshot> image);
 
   const V2View& view() const { return image_->view(); }
 
   std::shared_ptr<const MappedSnapshot> image_;
-  std::uint32_t source_version_ = kFormatVersion;
-  std::uint64_t file_bytes_ = 0;
 };
 
 }  // namespace htor::snapshot

@@ -7,116 +7,35 @@ namespace htor::snapshot {
 
 namespace {
 
-// Serialized sizes, used to bound count fields against the bytes actually
-// present before any allocation happens (a garbage count must fail cleanly,
-// never over-allocate).
-constexpr std::size_t kMapEntryBytes = 4 + 4 + 1;
-constexpr std::size_t kHybridEntryBytes = 4 + 4 + 1 + 1 + 1 + 8;
-
-Header decode_header(ByteReader& r) {
-  const std::uint32_t magic = r.u32();
-  if (magic != kMagic) {
-    throw DecodeError("not a hybridtor snapshot (bad magic)");
-  }
-  Header header;
-  header.version = r.u32();
-  if (header.version == 0 || header.version > kFormatVersion) {
-    throw DecodeError("unsupported snapshot format version " + std::to_string(header.version) +
-                      " (this build reads versions 1.." + std::to_string(kFormatVersion) + ")");
-  }
-  header.timestamp = r.u64();
-  const std::uint16_t source_len = r.u16();
-  header.source = r.text(source_len);
-  return header;
-}
-
-CoverageCounters decode_coverage(ByteReader& r) {
-  CoverageCounters c;
-  c.observed = r.u64();
-  c.covered = r.u64();
-  if (c.covered > c.observed) {
-    throw DecodeError("snapshot coverage counters corrupt (covered > observed)");
-  }
-  return c;
-}
-
-ValleyCounters decode_valleys(ByteReader& r) {
-  ValleyCounters v;
-  v.paths = r.u64();
-  v.valley_free = r.u64();
-  v.valley = r.u64();
-  v.incomplete = r.u64();
-  v.classified_valleys = r.u64();
-  v.necessary_valleys = r.u64();
-  return v;
-}
-
-Relationship decode_rel(ByteReader& r) {
-  const std::uint8_t raw = r.u8();
-  if (raw > static_cast<std::uint8_t>(Relationship::Unknown)) {
-    throw DecodeError("snapshot relationship value " + std::to_string(raw) + " out of range");
-  }
-  return static_cast<Relationship>(raw);
-}
-
-LinkKey decode_link(ByteReader& r) {
-  const Asn first = r.u32();
-  const Asn second = r.u32();
-  if (first >= second) {
-    throw DecodeError("snapshot link AS" + std::to_string(first) + "-AS" +
-                      std::to_string(second) + " is not a canonical AS pair");
-  }
-  return LinkKey(first, second);
-}
-
-std::uint64_t decode_count(ByteReader& r, std::size_t entry_bytes, const char* what) {
-  const std::uint64_t count = r.u64();
-  if (count > r.remaining() / entry_bytes) {
-    throw DecodeError(std::string("snapshot ") + what + " count " + std::to_string(count) +
-                      " overruns the file");
-  }
-  return count;
-}
-
-RelationshipMap decode_map(ByteReader& r) {
-  const std::uint64_t count = decode_count(r, kMapEntryBytes, "relationship");
-  RelationshipMap map;
-  LinkKey prev;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const LinkKey link = decode_link(r);
-    const Relationship rel = decode_rel(r);
-    // Strictly ascending canonical order is part of the format: it makes
-    // encoding injective (one byte form per map) and rejects duplicates.
-    if (i > 0 && !(prev < link)) {
-      throw DecodeError("snapshot relationship entries out of canonical order");
-    }
-    prev = link;
-    map.set(link.first, link.second, rel);
-  }
-  return map;
-}
-
-// Read and check magic + version; returns the version for dispatch.
-std::uint32_t decode_version(std::span<const std::uint8_t> data) {
+// Magic and version, checked before any layout parsing: every entry point
+// (decode, probe, and through probe QueryIndex::open/open_mapped) rejects a
+// file of another version with the same reasoned error.
+void check_version(std::span<const std::uint8_t> data) {
   ByteReader r(data);
   const std::uint32_t magic = r.u32();
   if (magic != kMagic) {
     throw DecodeError("not a hybridtor snapshot (bad magic)");
   }
   const std::uint32_t version = r.u32();
-  if (version == 0 || version > kFormatVersion) {
-    throw DecodeError("unsupported snapshot format version " + std::to_string(version) +
-                      " (this build reads versions 1.." + std::to_string(kFormatVersion) + ")");
+  if (version == 1) {
+    throw DecodeError(
+        "snapshot format v1 is no longer read; regenerate the snapshot with "
+        "`hybridtor census --snapshot-out <file>`");
   }
-  return version;
+  if (version != kFormatVersion) {
+    throw DecodeError("unsupported snapshot format version " + std::to_string(version) +
+                      " (this build reads version " + std::to_string(kFormatVersion) + ")");
+  }
 }
 
-// v2 decode: validate the whole flat image, then materialize the Snapshot —
-// the maps from the link rows' presence flags, the hybrid list verbatim.
-Snapshot decode_v2(std::span<const std::uint8_t> data) {
+}  // namespace
+
+// Validate the whole flat image, then materialize the Snapshot — the maps
+// from the link rows' presence flags, the hybrid list verbatim.
+Snapshot Reader::decode(std::span<const std::uint8_t> data) {
+  check_version(data);
   const V2View v = validate_v2(data);
   Snapshot snap;
-  snap.header.version = 2;
   snap.header.timestamp = v.timestamp;
   snap.header.source = v.source();
   snap.dataset = v.dataset();
@@ -138,9 +57,12 @@ Snapshot decode_v2(std::span<const std::uint8_t> data) {
   return snap;
 }
 
-// Header-only v2 probe: the source string lives at the tail of a v2 file,
-// so the probe checks just enough of the layout to reach it safely.
-Header probe_v2(std::span<const std::uint8_t> data) {
+Snapshot Reader::read_file(const std::string& path) { return decode(load_bytes(path)); }
+
+// The source string lives at the tail of the file, so the probe checks just
+// enough of the layout to reach it safely.
+Header Reader::probe(std::span<const std::uint8_t> data) {
+  check_version(data);
   V2View v;
   v.bytes = data;
   if (data.size() < kV2HeaderBytes) {
@@ -160,74 +82,11 @@ Header probe_v2(std::span<const std::uint8_t> data) {
                       std::to_string(off_source) + ")");
   }
   Header header;
-  header.version = 2;
   header.timestamp = v.u64_at(kV2OffTimestamp);
   v.source_len = static_cast<std::uint32_t>(source_len);
   v.off_source = off_source;
   header.source = v.source();
   return header;
-}
-
-}  // namespace
-
-Snapshot Reader::decode(std::span<const std::uint8_t> data) {
-  if (decode_version(data) == 2) return decode_v2(data);
-  ByteReader r(data);
-  Snapshot snap;
-  snap.header = decode_header(r);
-
-  snap.dataset.v4_paths = r.u64();
-  snap.dataset.v6_paths = r.u64();
-  snap.dataset.v4_links = r.u64();
-  snap.dataset.v6_links = r.u64();
-  snap.dataset.dual_links = r.u64();
-
-  snap.coverage_v4 = decode_coverage(r);
-  snap.coverage_v6 = decode_coverage(r);
-  snap.coverage_dual = decode_coverage(r);
-  snap.valleys_v4 = decode_valleys(r);
-  snap.valleys_v6 = decode_valleys(r);
-
-  snap.hybrid_counters.dual_links_observed = r.u64();
-  snap.hybrid_counters.dual_links_both_known = r.u64();
-  snap.hybrid_counters.v6_paths_total = r.u64();
-  snap.hybrid_counters.v6_paths_with_hybrid = r.u64();
-
-  snap.rels_v4 = decode_map(r);
-  snap.rels_v6 = decode_map(r);
-
-  const std::uint64_t hybrid_count = decode_count(r, kHybridEntryBytes, "hybrid");
-  snap.hybrids.reserve(hybrid_count);
-  for (std::uint64_t i = 0; i < hybrid_count; ++i) {
-    HybridLink h;
-    h.link = decode_link(r);
-    h.rel_v4 = decode_rel(r);
-    h.rel_v6 = decode_rel(r);
-    h.cls = r.u8();
-    if (h.cls > 3) {
-      throw DecodeError("snapshot hybrid class value " + std::to_string(h.cls) +
-                        " out of range");
-    }
-    h.v6_path_visibility = r.u64();
-    snap.hybrids.push_back(h);
-  }
-
-  if (r.u32() != kTrailer) {
-    throw DecodeError("snapshot trailer missing (file truncated or corrupt)");
-  }
-  if (!r.exhausted()) {
-    throw DecodeError("trailing garbage after snapshot (" + std::to_string(r.remaining()) +
-                      " bytes)");
-  }
-  return snap;
-}
-
-Snapshot Reader::read_file(const std::string& path) { return decode(load_bytes(path)); }
-
-Header Reader::probe(std::span<const std::uint8_t> data) {
-  if (decode_version(data) == 2) return probe_v2(data);
-  ByteReader r(data);
-  return decode_header(r);
 }
 
 }  // namespace htor::snapshot

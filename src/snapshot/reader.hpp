@@ -1,8 +1,8 @@
 // Snapshot deserializer with the same fail-clean discipline as the MRT
 // readers: every malformed input — truncation at any byte, wrong magic, a
-// version from the future, out-of-range relationship/class values,
-// non-canonical entry order, trailing garbage — throws DecodeError and never
-// yields a partial Snapshot.
+// version other than the current one, out-of-range relationship/class
+// values, non-canonical entry order, trailing garbage — throws DecodeError
+// and never yields a partial Snapshot.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +15,11 @@ namespace htor::snapshot {
 
 class Reader {
  public:
-  /// Decode one snapshot from `data`, dispatching on the format version:
-  /// v1 is the legacy sequential encoding, v2 the flat layout (validated as
-  /// a whole, then materialized).  The buffer must contain exactly one
-  /// snapshot; trailing bytes are an error.  The decoded header keeps the
-  /// file's version, so callers can re-encode like-for-like.
+  /// Decode one v2 snapshot from `data`: the flat layout is validated as a
+  /// whole, then materialized.  The buffer must contain exactly one
+  /// snapshot; trailing bytes are an error.  A v1 file is rejected with a
+  /// DecodeError that names `hybridtor census --snapshot-out` as the way to
+  /// regenerate it.
   static Snapshot decode(std::span<const std::uint8_t> data);
 
   /// Load and decode `path`.  Throws Error when the file cannot be read and

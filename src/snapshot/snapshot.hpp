@@ -23,11 +23,10 @@ inline constexpr std::uint32_t kMagic = 0x4854534eu;
 /// Trailer magic, "ENDS" big-endian: a reader that does not reach it read a
 /// truncated or corrupt file.
 inline constexpr std::uint32_t kTrailer = 0x454e4453u;
-/// Current format version.  Readers accept versions in [1, kFormatVersion]
-/// and reject anything newer with a reasoned DecodeError, so old binaries
-/// fail cleanly on files from the future instead of misreading them.
-/// v1 is the original sequential encoding; v2 (layout.hpp) is the
-/// mmap-able flat layout the writer emits by default.
+/// Current format version: v2, the mmap-able flat layout (layout.hpp).
+/// Readers reject every other version with a reasoned DecodeError, so old
+/// binaries fail cleanly on files from the future instead of misreading
+/// them, and a retired v1 file names the command that regenerates it.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 struct Header {

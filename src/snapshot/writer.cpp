@@ -61,21 +61,6 @@ void check_source(const Snapshot& snap) {
   }
 }
 
-void encode_link(ByteWriter& w, const LinkKey& link) {
-  check_canonical(link);
-  w.u32(link.first);
-  w.u32(link.second);
-}
-
-void encode_map(ByteWriter& w, const RelationshipMap& map) {
-  const auto entries = sorted_entries(map);
-  w.u64(entries.size());
-  for (const auto& [link, rel] : entries) {
-    encode_link(w, link);
-    w.u8(rel_byte(rel));
-  }
-}
-
 void encode_counters(ByteWriter& w, const Snapshot& snap) {
   w.u64(snap.dataset.v4_paths);
   w.u64(snap.dataset.v6_paths);
@@ -111,34 +96,6 @@ struct RowValue {
 };
 
 }  // namespace
-
-std::vector<std::uint8_t> Writer::encode_v1(const Snapshot& snap) {
-  check_source(snap);
-  ByteWriter w;
-  w.u32(kMagic);
-  w.u32(1);
-  w.u64(snap.header.timestamp);
-  w.u16(static_cast<std::uint16_t>(snap.header.source.size()));
-  w.text(snap.header.source);
-
-  encode_counters(w, snap);
-
-  encode_map(w, snap.rels_v4);
-  encode_map(w, snap.rels_v6);
-
-  w.u64(snap.hybrids.size());
-  for (const auto& h : snap.hybrids) {
-    encode_link(w, h.link);
-    w.u8(rel_byte(h.rel_v4));
-    w.u8(rel_byte(h.rel_v6));
-    check_class(h.cls);
-    w.u8(h.cls);
-    w.u64(h.v6_path_visibility);
-  }
-
-  w.u32(kTrailer);
-  return w.take();
-}
 
 std::vector<std::uint8_t> Writer::encode(const Snapshot& snap) {
   check_source(snap);
@@ -297,13 +254,6 @@ std::vector<std::uint8_t> Writer::encode(const Snapshot& snap) {
   w.text(snap.header.source);
   w.u32(kTrailer);
   return w.take();
-}
-
-std::vector<std::uint8_t> Writer::encode_versioned(const Snapshot& snap,
-                                                   std::uint32_t version) {
-  if (version == 1) return encode_v1(snap);
-  if (version == 2) return encode(snap);
-  throw InvalidArgument("snapshot: cannot encode format version " + std::to_string(version));
 }
 
 void Writer::write_file(const Snapshot& snap, const std::string& path) {

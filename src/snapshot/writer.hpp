@@ -1,11 +1,8 @@
 // Snapshot serializer.  The format is big-endian throughout (ByteWriter) and
-// fully canonical: relationship maps are written in sorted LinkKey order, so
-// the same Snapshot always produces byte-identical output — file-level
-// equality is snapshot equality.
-//
-// encode() emits format v2, the mmap-able flat layout (layout.hpp);
-// encode_v1() keeps the original sequential encoding for compatibility
-// tests and mixed-version corpora.  Both are canonical for their version.
+// fully canonical: links are written in sorted LinkKey order, so the same
+// Snapshot always produces byte-identical output — file-level equality is
+// snapshot equality.  encode() emits format v2, the mmap-able flat layout
+// (layout.hpp).
 #pragma once
 
 #include <cstdint>
@@ -23,15 +20,6 @@ class Writer {
   /// entry with first == second, or a relationship/class value outside the
   /// format's range).
   static std::vector<std::uint8_t> encode(const Snapshot& snap);
-
-  /// Serialize `snap` to the legacy v1 sequential encoding.  Same
-  /// encodability rules as encode().
-  static std::vector<std::uint8_t> encode_v1(const Snapshot& snap);
-
-  /// encode() or encode_v1() by `version`; throws InvalidArgument for any
-  /// other version.  The re-encode half of the fuzz byte-identity oracle.
-  static std::vector<std::uint8_t> encode_versioned(const Snapshot& snap,
-                                                    std::uint32_t version);
 
   /// encode() to a temporary file in the target directory, then rename it
   /// over `path` — readers (and a serving daemon mmap) never observe a

@@ -3,8 +3,6 @@
 #      all three artifacts present.
 #   2. `census` on the artifacts — exit 0, key report lines present.
 #   3. `census --jobs 4` — byte-identical output to --jobs 1.
-#   3b. `census --no-stream` (load-all ingest) at --jobs 1 and 4 —
-#       byte-identical to the default streaming ingest.
 #   4. `census` on a missing rib.mrt — non-zero exit, diagnostic names the file.
 #   5. `census` on a truncated rib.mrt — non-zero exit, no partial report
 #      (skipped on hosts without /bin/sh, which is what clips the file).
@@ -14,11 +12,15 @@
 #      nonzero churn; `diff` of a snapshot against itself reports zero churn;
 #      `query` resolves a known link (from truth.csv) in pair and
 #      neighbor-list mode; `diff`/`query` on a truncated snapshot fail
-#      without partial output.
+#      without partial output.  The second census spells its option in the
+#      `--snapshot-out=<file>` form.
 #   7. `generate` argument validation: a garbage seed ("12x") and a trailing
 #      positional argument are both rejected.
-#   8. Unknown options ("--frobnicate", "-x") are rejected with a reasoned
-#      usage error instead of being swallowed as positional file arguments.
+#   8. Unknown options ("--frobnicate", "-x", the retired "--no-stream") and
+#      the retired `snapshot-upgrade` verb are rejected with a usage error
+#      instead of being swallowed as positional file arguments; a value
+#      option with a bad `=` value or no value at all exits 2 with its
+#      diagnostic.
 #   9. `query --json` emits the machine-readable shape (the same bytes the
 #      query daemon serves; byte-level identity is proven by
 #      test_server_e2e), in pair, neighbor, and not-found modes; --json on
@@ -79,21 +81,6 @@ endif()
 if(NOT census_j1 STREQUAL census_j4)
   message(FATAL_ERROR "census --jobs 4 output differs from --jobs 1")
 endif()
-
-# ------------------------------------- 3b. streaming / load-all equivalence
-# The default census path streams the MRT file; --no-stream selects the
-# legacy load-all path.  Both must be byte-identical at --jobs 1 and 4.
-foreach(njobs 1 4)
-  execute_process(COMMAND "${HYBRIDTOR}" census --no-stream --jobs ${njobs}
-                          "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
-                  RESULT_VARIABLE rc OUTPUT_VARIABLE census_nostream ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "census --no-stream --jobs ${njobs} failed (rc=${rc}): ${err}")
-  endif()
-  if(NOT census_nostream STREQUAL census_j1)
-    message(FATAL_ERROR "census --no-stream --jobs ${njobs} output differs from streaming")
-  endif()
-endforeach()
 
 # ----------------------------------------------------- 4. missing rib.mrt
 execute_process(COMMAND "${HYBRIDTOR}" census "${DATA_DIR}/no_such.mrt" "${DATA_DIR}/irr.txt"
@@ -172,7 +159,7 @@ if(NOT snap_a_hash STREQUAL snap_a_j4_hash)
   message(FATAL_ERROR "snapshot file differs between --jobs 1 and --jobs 4")
 endif()
 
-execute_process(COMMAND "${HYBRIDTOR}" census --snapshot-out "${SNAP_B}"
+execute_process(COMMAND "${HYBRIDTOR}" census "--snapshot-out=${SNAP_B}"
                         "${DATA_DIR2}/rib.mrt" "${DATA_DIR2}/irr.txt"
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT EXISTS "${SNAP_B}")
@@ -242,32 +229,6 @@ if(at EQUAL -1)
   message(FATAL_ERROR "neighbor query output missing the summary line:\n${query_out}")
 endif()
 
-# snapshot-upgrade re-encodes in the current format; on an already-v2 input
-# it is the identity (the encoding is canonical), and the upgraded file
-# answers queries byte-identically.
-set(SNAP_UP "${WORK_DIR}/a_upgraded.snap")
-execute_process(COMMAND "${HYBRIDTOR}" snapshot-upgrade "${SNAP_A}" "${SNAP_UP}"
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "snapshot-upgrade failed (rc=${rc}): ${err}")
-endif()
-string(FIND "${out}" "format v2" at)
-if(at EQUAL -1)
-  message(FATAL_ERROR "snapshot-upgrade did not report the v2 format:\n${out}")
-endif()
-execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${SNAP_A}" "${SNAP_UP}"
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-  message(FATAL_ERROR "upgrading a v2 snapshot changed its bytes")
-endif()
-execute_process(COMMAND "${HYBRIDTOR}" query --json "${SNAP_UP}" "${query_as}" "${query_bs}"
-                RESULT_VARIABLE rc OUTPUT_VARIABLE up_out ERROR_VARIABLE err)
-execute_process(COMMAND "${HYBRIDTOR}" query --json "${SNAP_A}" "${query_as}" "${query_bs}"
-                RESULT_VARIABLE rc2 OUTPUT_VARIABLE a_out ERROR_VARIABLE err2)
-if(NOT rc EQUAL 0 OR NOT rc2 EQUAL 0 OR NOT up_out STREQUAL a_out)
-  message(FATAL_ERROR "query --json differs between original and upgraded snapshot")
-endif()
-
 # Truncated snapshots must fail cleanly, with no partial diff/query output.
 if(SH_PROGRAM)
   set(SNAP_TRUNC "${WORK_DIR}/a_truncated.snap")
@@ -317,7 +278,7 @@ endif()
 # --------------------------------------------- 8. unknown option rejection
 # A typo'd flag must be a reasoned error, not a silent positional that
 # later fails as "cannot open '--frobnicate'".
-foreach(bad_flag "--frobnicate" "-x")
+foreach(bad_flag "--frobnicate" "-x" "--no-stream")
   execute_process(COMMAND "${HYBRIDTOR}" census "${bad_flag}"
                           "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -333,6 +294,30 @@ foreach(bad_flag "--frobnicate" "-x")
     message(FATAL_ERROR "unknown-option error must print usage: ${err}")
   endif()
 endforeach()
+
+# The retired snapshot-upgrade verb is no subcommand at all.
+execute_process(COMMAND "${HYBRIDTOR}" snapshot-upgrade a b
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "usage:" at)
+if(NOT rc EQUAL 2 OR at EQUAL -1)
+  message(FATAL_ERROR "snapshot-upgrade must exit 2 with usage (rc=${rc}): ${err}")
+endif()
+
+# Value options: the `=` form hands its value to the same parser as the
+# separate form, and a missing value is named rather than swallowed.
+execute_process(COMMAND "${HYBRIDTOR}" serve --port=70000 "${SNAP_A}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "--port expects an integer in [0, 65535], got '70000'" at)
+if(NOT rc EQUAL 2 OR at EQUAL -1 OR NOT out STREQUAL "")
+  message(FATAL_ERROR "serve --port=70000 must exit 2 naming the value (rc=${rc}): ${err}")
+endif()
+execute_process(COMMAND "${HYBRIDTOR}" census "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt"
+                        --snapshot-out
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(FIND "${err}" "--snapshot-out requires a non-empty path" at)
+if(NOT rc EQUAL 2 OR at EQUAL -1 OR NOT out STREQUAL "")
+  message(FATAL_ERROR "census --snapshot-out without a path must exit 2 (rc=${rc}): ${err}")
+endif()
 
 # --------------------------------------------------------- 9. query --json
 execute_process(COMMAND "${HYBRIDTOR}" query --json "${SNAP_A}" "${query_as}" "${query_bs}"

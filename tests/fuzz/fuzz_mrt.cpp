@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
     const auto records = mrt::read_all(input);
     // A decoded record set must survive the join into an observed RIB; a
     // throw here is still a reasoned DecodeError by contract.
-    const auto rib = mrt::rib_from_records(records);
+    ThreadPool pool;
+    const auto rib = mrt::rib_from_records(records, pool);
     (void)rib;
     return fuzz::Outcome::Parsed;
   });

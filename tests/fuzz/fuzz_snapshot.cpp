@@ -1,15 +1,12 @@
-// Fuzz target: the snapshot reader (snapshot::Reader::decode), both format
-// versions.
+// Fuzz target: the snapshot reader (snapshot::Reader::decode).
 //
 // Contract asserted per input: decode yields a full Snapshot or throws a
 // reasoned DecodeError.  Accepted inputs face a second, stronger oracle —
 // the format's canonical-encoding guarantee: re-encoding the decoded
-// snapshot *in the version it arrived in* must reproduce the input byte for
-// byte.  A mutation the reader accepts but cannot round-trip means the
-// format stopped being injective (some byte was silently ignored), which is
-// exactly the class of bug that breaks snapshot diffing and --jobs
-// determinism.  The corpus mixes v1 and v2 seeds so both decode paths stay
-// under the same budget.
+// snapshot must reproduce the input byte for byte.  A mutation the reader
+// accepts but cannot round-trip means the format stopped being injective
+// (some byte was silently ignored), which is exactly the class of bug that
+// breaks snapshot diffing and --jobs determinism.
 //
 // On top of the generic mutator, a v2-specific pass perturbs the fields the
 // flat layout's validator exists for: the declared file size, the section
@@ -81,7 +78,7 @@ int main(int argc, char** argv) {
   return fuzz::run_target("fuzz_snapshot", argc, argv,
                           [](const std::vector<std::uint8_t>& input) {
     const auto snap = snapshot::Reader::decode(input);
-    const auto reencoded = snapshot::Writer::encode_versioned(snap, snap.header.version);
+    const auto reencoded = snapshot::Writer::encode(snap);
     if (reencoded != input) {
       throw std::runtime_error("accepted input does not re-encode canonically (" +
                                std::to_string(input.size()) + " bytes in, " +

@@ -96,28 +96,22 @@ snapshot::Snapshot tiny_snapshot() {
 }
 
 void make_snapshot_seeds(const std::filesystem::path& dir) {
-  // Each seed ships in both formats: the legacy v1 bytes (the reader
-  // accepts v1 forever, so its decode path must stay under the fuzz budget)
-  // and the v2 flat layout.  The unsuffixed names keep the original v1
-  // bytes so regeneration never churns the committed corpus.
-  const auto tiny = tiny_snapshot();
-  write_file(dir / "tiny.snap", snapshot::Writer::encode_v1(tiny));
-  write_file(dir / "tiny_v2.snap", snapshot::Writer::encode(tiny));
+  // Seeds are v2 flat-layout images (the only format the reader accepts).
+  write_file(dir / "tiny_v2.snap", snapshot::Writer::encode(tiny_snapshot()));
 
   // An empty-maps snapshot: the zero-count paths are their own edge case.
   snapshot::Snapshot empty;
   empty.header.timestamp = 1700000001u;
   empty.header.source = "fuzz-empty.mrt";
-  write_file(dir / "empty.snap", snapshot::Writer::encode_v1(empty));
   write_file(dir / "empty_v2.snap", snapshot::Writer::encode(empty));
 
   // A census-sized snapshot from the synthetic generator: realistic counts,
   // hundreds of map entries, a non-trivial hybrid list.
   const auto net = gen::SyntheticInternet::generate(gen::small_params(21));
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto report = core::run_census(net.collect(), dict);
+  ThreadPool pool;
+  const auto report = core::run_census(net.collect(), dict, {}, pool);
   const auto snap = core::to_snapshot(report, "fuzz-census.mrt", 1281052800u);
-  write_file(dir / "census.snap", snapshot::Writer::encode_v1(snap));
   write_file(dir / "census_v2.snap", snapshot::Writer::encode(snap));
 }
 

@@ -524,7 +524,6 @@ const LiveStressWorld& live_world() {
 TEST(LivePipelineStress, RequestStopRacesAllThreeStages) {
   const auto& w = live_world();
   core::InferenceConfig config;
-  config.threads = 1;
   ThreadPool pool(2);
 
   for (int round = 0; round < 8; ++round) {

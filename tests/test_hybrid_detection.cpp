@@ -114,9 +114,10 @@ TEST_P(HybridPrecision, NoFalsePositives) {
   // Full wire round trip, as in the benches.
   mrt::MrtWriter writer;
   for (const auto& rec : mrt::records_from_rib(net.collect(), 1, "t", 0)) writer.write(rec);
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()));
+  ThreadPool pool;
+  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  const auto census = run_census(rib, dict);
+  const auto census = run_census(rib, dict, {}, pool);
 
   std::unordered_set<LinkKey, LinkKeyHash> planted;
   for (const auto& h : net.hybrid_links()) planted.insert(h.link);

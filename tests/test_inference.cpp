@@ -270,14 +270,15 @@ TEST(Pipeline, RosettaOnlyFillsGaps) {
     rib.add(route(IpVersion::V4, {100, o}, {bgp::Community(100, 1)}, 120));
   }
   rib.add(route(IpVersion::V4, {100, 299}, {}, 120));
-  const auto inferred = infer_relationships(rib, dict);
+  ThreadPool pool;
+  const auto inferred = infer_relationships(rib, dict, {}, pool);
   EXPECT_EQ(inferred.v4.get(100, 299), Relationship::P2C);   // via Rosetta
   EXPECT_EQ(inferred.v4.get(100, 201), Relationship::P2C);   // via communities
   EXPECT_EQ(inferred.community_v4.rels.get(100, 299), Relationship::Unknown);
 
   InferenceConfig no_rosetta;
   no_rosetta.use_rosetta = false;
-  const auto bare = infer_relationships(rib, dict, no_rosetta);
+  const auto bare = infer_relationships(rib, dict, no_rosetta, pool);
   EXPECT_EQ(bare.v4.get(100, 299), Relationship::Unknown);
 }
 
@@ -286,12 +287,13 @@ TEST(Pipeline, HelperFunctions) {
   rib.add(route(IpVersion::V4, {1, 2, 3}, {}));
   rib.add(route(IpVersion::V6, {1, 2, 4}, {}));
   rib.add(route(IpVersion::V6, {5, 2, 1}, {}));
-  const auto v4 = paths_of(rib, IpVersion::V4);
-  const auto v6 = paths_of(rib, IpVersion::V6);
+  ThreadPool pool;
+  const auto v4 = paths_of(rib, IpVersion::V4, pool);
+  const auto v6 = paths_of(rib, IpVersion::V6, pool);
   EXPECT_EQ(v4.unique_paths(), 1u);
   EXPECT_EQ(v6.unique_paths(), 2u);
 
-  const auto duals = dual_stack_links(v4, v6);
+  const auto duals = dual_stack_links(v4.links(), v6.links(), pool);
   ASSERT_EQ(duals.size(), 1u);
   EXPECT_EQ(duals[0], LinkKey(1, 2));
 

@@ -27,9 +27,10 @@ PipelineResult run_pipeline(std::uint64_t seed) {
   for (const auto& rec : mrt::records_from_rib(net.collect(), 0xc011ec7u, "it", 1281052800u)) {
     writer.write(rec);
   }
-  auto rib = mrt::rib_from_records(mrt::read_all(writer.data()));
+  ThreadPool pool;
+  auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
   auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
-  auto census = core::run_census(rib, dict);
+  auto census = core::run_census(rib, dict, {}, pool);
   return {std::move(net), std::move(rib), std::move(dict), std::move(census)};
 }
 

@@ -268,9 +268,7 @@ TEST(LivePipeline, EpochsMatchIndependentReplayAtAnyCapacityAndJobs) {
   for (const std::size_t capacity : {std::size_t{2}, std::size_t{64}, std::size_t{1024}}) {
     for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
       ThreadPool pool(jobs);
-      core::InferenceConfig config;
-      config.threads = jobs;
-      IncrementalCensus census(w.rib, w.dict, config, kSource, kSeedTimestamp);
+      IncrementalCensus census(w.rib, w.dict, core::InferenceConfig{}, kSource, kSeedTimestamp);
       PipelineConfig pipeline_config;
       pipeline_config.ring_capacity = capacity;
       pipeline_config.epoch_every = 150;

@@ -163,7 +163,8 @@ TEST(RibView, MrtRoundTripPreservesRoutes) {
   MrtWriter w;
   for (const auto& rec : records) w.write(rec);
   const auto parsed = read_all(w.data());
-  const auto out = rib_from_records(parsed);
+  ThreadPool pool;
+  const auto out = rib_from_records(parsed, pool);
 
   ASSERT_EQ(out.size(), rib.size());
   // Order may differ (grouped by prefix); compare as sets.
@@ -180,7 +181,8 @@ TEST(RibView, RejectsRibBeforePeerTable) {
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
   rib.entries.push_back({});
-  EXPECT_THROW(rib_from_records({Record{0, rib}}), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(rib_from_records({Record{0, rib}}, pool), DecodeError);
 }
 
 TEST(RibView, RejectsOutOfRangePeerIndex) {
@@ -190,7 +192,8 @@ TEST(RibView, RejectsOutOfRangePeerIndex) {
   RibEntry entry;
   entry.peer_index = 4;
   rib.entries.push_back(entry);
-  EXPECT_THROW(rib_from_records({Record{0, pit}, Record{0, rib}}), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(rib_from_records({Record{0, pit}, Record{0, rib}}, pool), DecodeError);
 }
 
 TEST(RibView, RejectsMoreThan16BitPeers) {
@@ -221,7 +224,8 @@ TEST(RibView, FlattensAsSets) {
   path.add_segment({bgp::AsSegmentType::Set, {1, 2}});
   entry.attrs.as_path = path;
   rib.entries.push_back(entry);
-  const auto out = rib_from_records({Record{0, pit}, Record{0, rib}});
+  ThreadPool pool;
+  const auto out = rib_from_records({Record{0, pit}, Record{0, rib}}, pool);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.routes()[0].as_path, (std::vector<Asn>{64500, 1, 2}));
 }

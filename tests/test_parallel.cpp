@@ -1,10 +1,13 @@
 // Tests for the parallel census subsystem: the thread pool itself, the
 // deterministic shard planner, and — the property the whole design hangs on —
-// that every pool-sharded pipeline stage reproduces its sequential twin
-// exactly, for any job count.
+// that every pool-sharded pipeline stage gives the same result at one job
+// and at several, and agrees with a reference built without the shard merge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <map>
 #include <numeric>
 #include <string>
 
@@ -154,7 +157,7 @@ TEST(ShardMap, PropagatesFirstError) {
                Error);
 }
 
-// ------------------------------------------- sequential == parallel twins
+// ---------------------------------------- jobs 1 == jobs N, and references
 
 struct ParallelFixture : public ::testing::Test {
   static const gen::SyntheticInternet& net() {
@@ -181,91 +184,112 @@ void expect_same_rels(const RelationshipMap& a, const RelationshipMap& b) {
   });
 }
 
-TEST_F(ParallelFixture, RibJoinMatchesSequential) {
+TEST_F(ParallelFixture, RibJoinMatchesAcrossJobCounts) {
   mrt::MrtWriter writer;
   for (const auto& rec : mrt::records_from_rib(rib(), 1, "par", 0)) writer.write(rec);
   const auto bytes = writer.take();
   const auto records = mrt::read_all(bytes);
 
-  const auto sequential = mrt::rib_from_records(records);
-  for (std::size_t jobs : {1u, 4u}) {
-    ThreadPool pool(jobs);
-    const auto sharded = mrt::rib_from_records(records, pool);
-    ASSERT_EQ(sharded.size(), sequential.size());
-    EXPECT_EQ(sharded.size_of(IpVersion::V6), sequential.size_of(IpVersion::V6));
-    // Route order must match the sequential join exactly.
-    EXPECT_EQ(sharded.routes(), sequential.routes());
-  }
-}
-
-TEST_F(ParallelFixture, PathsOfMatchesSequential) {
-  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-    const auto sequential = core::paths_of(rib(), af);
-    ThreadPool pool(4);
-    const auto sharded = core::paths_of(rib(), af, pool);
-    EXPECT_EQ(sharded.unique_paths(), sequential.unique_paths());
-    EXPECT_EQ(sharded.total_occurrences(), sequential.total_occurrences());
-    EXPECT_EQ(sharded.links(), sequential.links());  // links() is canonical
-  }
-}
-
-TEST_F(ParallelFixture, DualStackLinksMatchesSequentialOrder) {
-  const auto v4 = core::paths_of(rib(), IpVersion::V4);
-  const auto v6 = core::paths_of(rib(), IpVersion::V6);
-  const auto sequential = core::dual_stack_links(v4, v6);
+  ThreadPool inline_pool;
+  const auto base = mrt::rib_from_records(records, inline_pool);
+  ASSERT_EQ(base.size(), rib().size());
   ThreadPool pool(4);
-  EXPECT_EQ(core::dual_stack_links(v4, v6, pool), sequential);
+  const auto sharded = mrt::rib_from_records(records, pool);
+  EXPECT_EQ(sharded.size_of(IpVersion::V6), base.size_of(IpVersion::V6));
+  // Route order must match exactly, not just the route set.
+  EXPECT_EQ(sharded.routes(), base.routes());
 }
 
-TEST_F(ParallelFixture, CommunityInferenceMatchesSequential) {
-  const auto routes = rib().routes_of(IpVersion::V6);
-  const auto sequential = core::infer_from_communities(routes, dict());
-  for (std::size_t jobs : {1u, 4u}) {
-    ThreadPool pool(jobs);
-    const auto sharded = core::infer_from_communities(routes, dict(), {}, pool);
-    EXPECT_EQ(sharded.links_with_votes, sequential.links_with_votes);
-    EXPECT_EQ(sharded.conflicted_links, sequential.conflicted_links);
-    EXPECT_EQ(sharded.tagged_routes, sequential.tagged_routes);
-    EXPECT_EQ(sharded.total_votes, sequential.total_votes);
-    expect_same_rels(sharded.rels, sequential.rels);
+/// Every distinct path of a store with its count, in a canonical order.
+std::map<std::vector<Asn>, std::uint64_t> path_counts(const PathStore& store) {
+  std::map<std::vector<Asn>, std::uint64_t> out;
+  store.for_each([&out](const std::vector<Asn>& path, std::uint64_t count) { out[path] = count; });
+  return out;
+}
+
+// The reference is a store filled by a plain loop over the routes, so a bug
+// in the shard merge cannot hide on both sides of the comparison.
+TEST_F(ParallelFixture, PathsOfMatchesPlainLoop) {
+  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    PathStore reference;
+    for (const auto& route : rib().routes()) {
+      if (route.af == af) reference.add(route.as_path);
+    }
+    for (std::size_t jobs : {1u, 4u}) {
+      ThreadPool pool(jobs);
+      const auto sharded = core::paths_of(rib(), af, pool);
+      EXPECT_EQ(sharded.total_occurrences(), reference.total_occurrences());
+      EXPECT_EQ(path_counts(sharded), path_counts(reference)) << "jobs=" << jobs;
+      EXPECT_EQ(sharded.links(), reference.links());  // links() is canonical
+    }
   }
 }
 
-TEST_F(ParallelFixture, InferRelationshipsMatchesSequential) {
-  core::InferenceConfig sequential_config;  // threads = 1
-  const auto sequential = core::infer_relationships(rib(), dict(), sequential_config);
-
-  core::InferenceConfig parallel_config;
-  parallel_config.threads = 4;
-  const auto sharded = core::infer_relationships(rib(), dict(), parallel_config);
-
-  expect_same_rels(sharded.v4, sequential.v4);
-  expect_same_rels(sharded.v6, sequential.v6);
-  EXPECT_EQ(sharded.rosetta_v6.values_learned, sequential.rosetta_v6.values_learned);
-  EXPECT_EQ(sharded.rosetta_v6.routes_resolved, sequential.rosetta_v6.routes_resolved);
+// links() is sorted, so the dual links (kept in v6 link order) must equal
+// the plain sorted-range intersection.
+TEST_F(ParallelFixture, DualStackLinksMatchesSetIntersection) {
+  ThreadPool inline_pool;
+  const auto v4 = core::paths_of(rib(), IpVersion::V4, inline_pool).links();
+  const auto v6 = core::paths_of(rib(), IpVersion::V6, inline_pool).links();
+  std::vector<LinkKey> reference;
+  std::set_intersection(v4.begin(), v4.end(), v6.begin(), v6.end(),
+                        std::back_inserter(reference));
+  ASSERT_FALSE(reference.empty());
+  for (std::size_t jobs : {1u, 4u}) {
+    ThreadPool pool(jobs);
+    EXPECT_EQ(core::dual_stack_links(v4, v6, pool), reference) << "jobs=" << jobs;
+  }
 }
 
-TEST_F(ParallelFixture, ValleyCensusMatchesSequential) {
-  const auto paths = core::paths_of(rib(), IpVersion::V6);
-  const auto inferred = core::infer_relationships(rib(), dict());
-  const auto sequential = core::census_valleys(paths, inferred.v6);
+// infer_relationships shards its community scan; infer_from_communities is
+// one unsharded scan plus the tally.  Same votes, same outcome.
+TEST_F(ParallelFixture, CommunityInferenceMatchesSingleScan) {
+  const auto reference = core::infer_from_communities(rib().routes_of(IpVersion::V6), dict());
+  for (std::size_t jobs : {1u, 4u}) {
+    ThreadPool pool(jobs);
+    const auto sharded = core::infer_relationships(rib(), dict(), {}, pool).community_v6;
+    EXPECT_EQ(sharded.links_with_votes, reference.links_with_votes);
+    EXPECT_EQ(sharded.conflicted_links, reference.conflicted_links);
+    EXPECT_EQ(sharded.tagged_routes, reference.tagged_routes);
+    EXPECT_EQ(sharded.total_votes, reference.total_votes);
+    expect_same_rels(sharded.rels, reference.rels);
+  }
+}
+
+TEST_F(ParallelFixture, InferRelationshipsMatchesAcrossJobCounts) {
+  ThreadPool inline_pool;
+  const auto base = core::infer_relationships(rib(), dict(), {}, inline_pool);
+  ThreadPool pool(4);
+  const auto sharded = core::infer_relationships(rib(), dict(), {}, pool);
+
+  expect_same_rels(sharded.v4, base.v4);
+  expect_same_rels(sharded.v6, base.v6);
+  EXPECT_EQ(sharded.rosetta_v6.values_learned, base.rosetta_v6.values_learned);
+  EXPECT_EQ(sharded.rosetta_v6.routes_resolved, base.rosetta_v6.routes_resolved);
+}
+
+TEST_F(ParallelFixture, ValleyCensusMatchesAcrossJobCounts) {
+  ThreadPool inline_pool;
+  const auto paths = core::paths_of(rib(), IpVersion::V6, inline_pool);
+  const auto inferred = core::infer_relationships(rib(), dict(), {}, inline_pool);
+  const auto base = core::census_valleys(paths, inferred.v6, inline_pool);
+  EXPECT_GT(base.valley, 0u);
   ThreadPool pool(4);
   const auto sharded = core::census_valleys(paths, inferred.v6, pool);
-  EXPECT_EQ(sharded.paths, sequential.paths);
-  EXPECT_EQ(sharded.valley_free, sequential.valley_free);
-  EXPECT_EQ(sharded.valley, sequential.valley);
-  EXPECT_EQ(sharded.incomplete, sequential.incomplete);
-  EXPECT_EQ(sharded.classified_valleys, sequential.classified_valleys);
-  EXPECT_EQ(sharded.necessary_valleys, sequential.necessary_valleys);
+  EXPECT_EQ(sharded.paths, base.paths);
+  EXPECT_EQ(sharded.valley_free, base.valley_free);
+  EXPECT_EQ(sharded.valley, base.valley);
+  EXPECT_EQ(sharded.incomplete, base.incomplete);
+  EXPECT_EQ(sharded.classified_valleys, base.classified_valleys);
+  EXPECT_EQ(sharded.necessary_valleys, base.necessary_valleys);
 }
 
 TEST_F(ParallelFixture, FullCensusMatchesAcrossJobCounts) {
-  core::InferenceConfig config;
-  config.threads = 1;
-  const auto base = core::run_census(rib(), dict(), config);
+  ThreadPool inline_pool;
+  const auto base = core::run_census(rib(), dict(), {}, inline_pool);
   for (std::size_t jobs : {4u, 8u}) {
-    config.threads = jobs;
-    const auto report = core::run_census(rib(), dict(), config);
+    ThreadPool pool(jobs);
+    const auto report = core::run_census(rib(), dict(), {}, pool);
     EXPECT_EQ(report.v6_paths, base.v6_paths);
     EXPECT_EQ(report.v4_paths, base.v4_paths);
     EXPECT_EQ(report.v6_links, base.v6_links);

@@ -84,7 +84,8 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
         }
       },
       DecodeError);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes)), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
 
   // Same file on disk through the streaming reader.
   const std::string path = ::testing::TempDir() + "/trunc_header.mrt";
@@ -93,7 +94,7 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
     ASSERT_TRUE(out);
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
   }
-  EXPECT_THROW(mrt::rib_from_stream(path), DecodeError);
+  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -110,7 +111,8 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
         }
       },
       DecodeError);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes)), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
 
   const std::string path = ::testing::TempDir() + "/garbage_header.mrt";
   {
@@ -118,7 +120,7 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
     ASSERT_TRUE(out);
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(bytes.size()));
   }
-  EXPECT_THROW(mrt::rib_from_stream(path), DecodeError);
+  EXPECT_THROW(mrt::rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -141,11 +143,11 @@ TEST(Robustness, TruncatedRibFileFailsFast) {
 
   const auto data = mrt::load_file(path);
   ASSERT_EQ(data.size(), cut);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data)), DecodeError);
-
-  // The sharded join shows the same discipline.
-  ThreadPool pool(4);
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError);
+  // Inline and with workers alike.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError);
+  }
 
   std::remove(path.c_str());
 }
@@ -207,7 +209,8 @@ TEST(Robustness, RibJoinOnCorruptedDumps) {
       bytes[rng.index(bytes.size())] ^= static_cast<std::uint8_t>(rng.uniform(1, 255));
     }
     try {
-      const auto rib = mrt::rib_from_records(mrt::read_all(bytes));
+      ThreadPool pool;
+      const auto rib = mrt::rib_from_records(mrt::read_all(bytes), pool);
       (void)rib;
     } catch (const DecodeError&) {
     } catch (const InvalidArgument&) {

@@ -60,14 +60,16 @@ TEST(MrtStreamReader, FramesMatchInMemoryReader) {
 
 TEST(MrtStreamReader, MissingFileThrows) {
   EXPECT_THROW(MrtStreamReader("/nonexistent/nope.mrt"), Error);
-  EXPECT_THROW(rib_from_stream("/nonexistent/nope.mrt"), Error);
+  ThreadPool pool;
+  EXPECT_THROW(rib_from_stream("/nonexistent/nope.mrt", pool), Error);
 }
 
 TEST(MrtStreamReader, EmptyFileIsCleanEof) {
   const std::string path = write_temp({}, "stream_empty.mrt");
   MrtStreamReader stream(path);
   EXPECT_FALSE(stream.next().has_value());
-  EXPECT_EQ(rib_from_stream(path).size(), 0u);
+  ThreadPool pool;
+  EXPECT_EQ(rib_from_stream(path, pool).size(), 0u);
   std::remove(path.c_str());
 }
 
@@ -117,21 +119,25 @@ TEST(MrtStreamReader, GarbageLengthFieldThrows) {
         }
       },
       DecodeError);
-  EXPECT_THROW(rib_from_stream(path), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
-// The heart of the tentpole: rib_from_stream == rib_from_records, route for
-// route, at several pool sizes and batch sizes (including batches far
-// smaller than the record count, forcing many flushes).
+// rib_from_stream == rib_from_records, route for route, at several pool
+// sizes and batch sizes (including batches far smaller than the record
+// count, forcing many flushes).  The two joins batch and merge differently —
+// the streaming one per fixed record batch, the in-memory one over a fixed
+// shard plan — so each is the oracle for the other's merge order; batch 1
+// makes every streaming merge trivial.
 TEST(RibFromStream, IdenticalToInMemoryJoin) {
   const auto& bytes = sample_dump();
   const std::string path = write_temp(bytes, "stream_equiv.mrt");
-  const ObservedRib reference = rib_from_records(read_all(bytes));
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    const ObservedRib reference = rib_from_records(read_all(bytes), pool);
     for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-      ThreadPool pool(jobs);
       const ObservedRib streamed = rib_from_stream(path, pool, batch);
       ASSERT_EQ(streamed.size(), reference.size()) << "jobs=" << jobs << " batch=" << batch;
       EXPECT_EQ(streamed.size_of(IpVersion::V4), reference.size_of(IpVersion::V4));
@@ -221,7 +227,8 @@ TEST(RibFromStream, RejectsRibBeforePeerTable) {
   MrtWriter w;
   w.write(Record{0, rib});
   const std::string path = write_temp(w.take(), "stream_orphan.mrt");
-  EXPECT_THROW(rib_from_stream(path), DecodeError);
+  ThreadPool pool;
+  EXPECT_THROW(rib_from_stream(path, pool), DecodeError);
   std::remove(path.c_str());
 }
 
@@ -229,7 +236,6 @@ TEST(RibFromStream, RejectsRibBeforePeerTable) {
 // cut either streams cleanly (cut on a record boundary) or throws.
 TEST(RibFromStream, TruncationSweepNeverYieldsPartialRib) {
   const auto& bytes = sample_dump();
-  const ObservedRib reference = rib_from_records(read_all(bytes));
   ThreadPool pool(2);
   for (std::size_t len = 1; len < bytes.size(); len += (len < 4096 ? 13 : 991)) {
     const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
@@ -247,7 +253,7 @@ TEST(RibFromStream, TruncationSweepNeverYieldsPartialRib) {
       // in-memory-rejects divergence fails loudly instead of being
       // swallowed by the catch.
       ObservedRib in_memory;
-      ASSERT_NO_THROW(in_memory = rib_from_records(read_all(cut))) << "cut at " << len;
+      ASSERT_NO_THROW(in_memory = rib_from_records(read_all(cut), pool)) << "cut at " << len;
       EXPECT_EQ(streamed->size(), in_memory.size()) << "cut at " << len;
     }
     std::remove(path.c_str());

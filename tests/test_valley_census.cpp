@@ -1,6 +1,8 @@
 // Tests for the valley census: classification plumbing and the necessity
 // test (no valley-free alternative), on handcrafted maps and on the
-// generated Internet.
+// generated Internet.  The handcrafted stores hold fewer paths than the
+// census has shards, so each path is classified in its own shard and the
+// known answers also pin the shard reduce.
 #include <gtest/gtest.h>
 
 #include "core/valley_census.hpp"
@@ -22,7 +24,8 @@ TEST(ValleyCensus, CountsClasses) {
   paths.add({1, 2, 3, 4});  // valley
   paths.add({5, 6, 7});     // incomplete: 6-7 unknown
 
-  const auto census = census_valleys(paths, rels);
+  ThreadPool pool;
+  const auto census = census_valleys(paths, rels, pool);
   EXPECT_EQ(census.paths, 4u);
   EXPECT_EQ(census.valley_free, 1u);
   EXPECT_EQ(census.valley, 2u);
@@ -43,7 +46,8 @@ TEST(ValleyCensus, NecessityDetection) {
   PathStore paths;
   paths.add({1, 2, 5, 4});
 
-  const auto census = census_valleys(paths, rels);
+  ThreadPool pool;
+  const auto census = census_valleys(paths, rels, pool);
   ASSERT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 1u);
   EXPECT_EQ(census.necessary_valleys, 1u);
@@ -65,7 +69,8 @@ TEST(ValleyCensus, UnnecessaryValleyDetected) {
   PathStore paths;
   paths.add({3, 2, 5, 7});
 
-  const auto census = census_valleys(paths, rels);
+  ThreadPool pool;
+  const auto census = census_valleys(paths, rels, pool);
   ASSERT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 1u);
   EXPECT_EQ(census.necessary_valleys, 0u);
@@ -80,13 +85,15 @@ TEST(ValleyCensus, ValleysWithUnknownGapsAreNotClassified) {
   // 3-4 left unknown.
   PathStore paths;
   paths.add({1, 2, 3, 4});
-  const auto census = census_valleys(paths, rels);
+  ThreadPool pool;
+  const auto census = census_valleys(paths, rels, pool);
   EXPECT_EQ(census.valley, 1u);
   EXPECT_EQ(census.classified_valleys, 0u);
 }
 
 TEST(ValleyCensus, EmptyStore) {
-  const auto census = census_valleys(PathStore{}, RelationshipMap{});
+  ThreadPool pool;
+  const auto census = census_valleys(PathStore{}, RelationshipMap{}, pool);
   EXPECT_EQ(census.paths, 0u);
   EXPECT_EQ(census.valley_fraction(), 0.0);
   EXPECT_EQ(census.necessary_fraction(), 0.0);
@@ -103,7 +110,8 @@ TEST_P(V4ValleyFree, GroundTruthV4HasNoValleys) {
   for (const auto& route : rib.routes()) {
     if (route.af == IpVersion::V4) v4.add(route.as_path);
   }
-  const auto census = census_valleys(v4, net.truth(IpVersion::V4));
+  ThreadPool pool;
+  const auto census = census_valleys(v4, net.truth(IpVersion::V4), pool);
   EXPECT_EQ(census.valley, 0u);
   EXPECT_EQ(census.incomplete, 0u);  // ground truth covers every link
   EXPECT_GT(census.paths, 0u);
@@ -120,7 +128,8 @@ TEST(ValleyCensusGen, V6HasValleysUnderGroundTruth) {
   for (const auto& route : rib.routes()) {
     if (route.af == IpVersion::V6) v6.add(route.as_path);
   }
-  const auto census = census_valleys(v6, net.truth(IpVersion::V6));
+  ThreadPool pool;
+  const auto census = census_valleys(v6, net.truth(IpVersion::V6), pool);
   EXPECT_GT(census.valley, 0u);
   EXPECT_GT(census.paths, census.valley);  // not everything is a valley
 }

@@ -14,11 +14,8 @@
 //                              AS-pair relationship / AS neighbor-list lookup
 //                              against a snapshot; --json emits the same
 //                              bytes the query daemon serves over HTTP.
-//                              v2 snapshots are mmap'd and searched in-file
-//                              (zero-copy); v1 snapshots decode eagerly
-//   snapshot-upgrade <in.snap> <out.snap>
-//                              re-encode any readable snapshot in the
-//                              current (v2, mmap-able) format
+//                              Snapshots are mmap'd and searched in-file
+//                              (zero-copy)
 //   serve   <snap> [--port N] [--jobs N]
 //                              long-running query daemon over one snapshot:
 //                              loads it once into a QueryIndex and serves
@@ -59,8 +56,7 @@
 // `census` ingests the MRT file by streaming it: headers are scanned
 // sequentially, record bodies decode in parallel batches, and routes join
 // straight into the RIB, so peak memory stays one batch deep instead of
-// ~3× the decoded RIB.  `--no-stream` selects the legacy load-all path;
-// both paths produce byte-identical reports.
+// ~3× the decoded RIB.
 //
 // `census --stats` appends an end-of-run stage-timing table (ingest,
 // decode, apply, census sub-stages, snapshot write) from the obs span
@@ -77,6 +73,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -158,12 +155,11 @@ std::optional<std::uint16_t> parse_port(const std::string& value) {
 int usage() {
   std::cerr << "usage:\n"
                "  hybridtor generate [--update-events N] [--scale N] <outdir> [seed]\n"
-               "  hybridtor census [--jobs N] [--no-stream] [--snapshot-out <file>]\n"
+               "  hybridtor census [--jobs N] [--snapshot-out <file>]\n"
                "                   [--stats] [--trace-out <file>] <rib.mrt> <irr.txt>\n"
                "  hybridtor inspect <rib.mrt>\n"
                "  hybridtor diff <a.snap> <b.snap>\n"
                "  hybridtor query [--json] <snap> <asn> [asn2]\n"
-               "  hybridtor snapshot-upgrade <in.snap> <out.snap>\n"
                "  hybridtor serve <snap> [--port N] [--jobs N]\n"
                "  hybridtor follow [--jobs N] [--epoch-every N] [--ring-capacity N]\n"
                "                   <rib.mrt> <irr.txt> <updates.mrt...>\n"
@@ -316,17 +312,15 @@ void print_stage_stats(std::ostream& out) {
 }
 
 int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::size_t jobs,
-               bool streaming, const std::optional<std::string>& snapshot_out, bool stats,
+               const std::optional<std::string>& snapshot_out, bool stats,
                const std::optional<std::string>& trace_out) {
   if (trace_out) obs::TraceCollector::global().enable();
   // Fail fast on unreadable or truncated input: no partial census is ever
   // printed — the single diagnostic below names the file and the reason.
   ThreadPool pool(jobs);
-  core::IngestOptions ingest;
-  ingest.streaming = streaming;
   mrt::ObservedRib rib;
   try {
-    rib = core::load_rib(mrt_path, pool, ingest);
+    rib = core::load_rib(mrt_path, pool);
   } catch (const Error& e) {
     throw Error("census aborted: " + mrt_path + ": " + e.what());
   }
@@ -335,9 +329,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
             << " communities from " << dict.documented_asns().size() << " ASes\n\n";
 
-  core::InferenceConfig config;
-  config.threads = jobs;
-  const auto census = core::run_census(rib, dict, config, pool);
+  const auto census = core::run_census(rib, dict, core::InferenceConfig{}, pool);
 
   Table t({"metric", "value"});
   t.row({"IPv6 AS paths", std::to_string(census.v6_paths)});
@@ -377,7 +369,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
   // values appear here: HLL estimates, the Bloom hit/miss split (fed in
   // record order on the sequential apply leg), and the post-merge link-vote
   // heavy hitters — so this section honours the same byte-identity contract
-  // across --jobs and --no-stream that the rest of the report does.
+  // across --jobs that the rest of the report does.
   const auto sketch = obs::sketch::Telemetry::global().snapshot();
   std::cout << "\nsketch telemetry (~" << sketch.memory_bytes / 1024 << " KiB resident):\n";
   Table sk({"estimate", "value"});
@@ -527,20 +519,9 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
   return 0;
 }
 
-int cmd_snapshot_upgrade(const std::string& in_path, const std::string& out_path) {
-  const auto snap = load_snapshot(in_path);  // any readable version
-  snapshot::Writer::write_file(snap, out_path);
-  const snapshot::QueryIndex upgraded = snapshot::QueryIndex::open_mapped(out_path);
-  std::cout << "wrote " << out_path << " (format v" << snapshot::kFormatVersion << ", "
-            << upgraded.snapshot_bytes() << " bytes, from " << in_path << " format v"
-            << snap.header.version << "; links " << upgraded.link_count() << ", ases "
-            << upgraded.as_count() << ", hybrids " << upgraded.hybrid_count() << ")\n";
-  return 0;
-}
-
 int cmd_query(const std::string& snap_path, Asn asn, std::optional<Asn> other, bool json) {
-  // mmap-backed for v2 files: the kernel pages in only the header plus the
-  // few link rows the binary search touches.  v1 files decode eagerly.
+  // mmap-backed: the kernel pages in only the header plus the few link rows
+  // the binary search touches.
   const snapshot::QueryIndex index = [&] {
     try {
       return snapshot::QueryIndex::open_mapped(snap_path);
@@ -683,9 +664,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
             << " communities\n";
 
-  core::InferenceConfig config;
-  config.threads = jobs;
-  live::IncrementalCensus census(rib, dict, config, rib_path,
+  live::IncrementalCensus census(rib, dict, core::InferenceConfig{}, rib_path,
                                  static_cast<std::uint32_t>(rib_epoch(rib_path)));
 
   live::PipelineConfig pipeline_config;
@@ -732,7 +711,6 @@ int cmd_serve_follow(const std::string& rib_path, const std::string& irr_path,
   config.jobs = jobs;
   config.pipeline.epoch_every = epoch_every;
   config.pipeline.ring_capacity = ring_capacity;
-  config.inference.threads = jobs;
   live::FollowService service(rib_path, irr_path, std::move(update_paths), config);
 
   struct sigaction sa = {};
@@ -763,6 +741,32 @@ int cmd_serve_follow(const std::string& rib_path, const std::string& irr_path,
   return 0;
 }
 
+/// Matches argv[i] against the value-taking option `name`, written either
+/// `name value` or `name=value`.  Returns false, leaving `value` alone, when
+/// argv[i] is some other argument.  Otherwise returns true with `value` set
+/// (and i advanced past a separate value), or with `value` unset after
+/// printing the diagnostic when the value is missing — for a path option,
+/// an empty path counts as missing.
+bool option_value(int argc, char** argv, int& i, std::string_view name, bool is_path,
+                  std::optional<std::string>& value) {
+  const std::string_view arg = argv[i];
+  std::optional<std::string> found;
+  if (arg == name) {
+    if (i + 1 < argc) found = argv[++i];
+  } else if (arg.starts_with(name) && arg.size() > name.size() && arg[name.size()] == '=') {
+    found = std::string(arg.substr(name.size() + 1));
+  } else {
+    return false;
+  }
+  if (is_path && found && found->empty()) found.reset();
+  if (!found) {
+    std::cerr << "error: " << name << " requires "
+              << (is_path ? "a non-empty path" : "a value") << "\n";
+  }
+  value = std::move(found);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -773,7 +777,6 @@ int main(int argc, char** argv) {
   // file would turn a typo into a confusing "cannot open" failure later.
   std::vector<std::string> args;
   std::optional<std::size_t> jobs;
-  bool streaming = true;
   bool json = false;
   bool stats = false;
   bool follow = false;
@@ -786,88 +789,12 @@ int main(int argc, char** argv) {
   std::optional<std::size_t> scale;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-stream") {
-      streaming = false;
-      continue;
-    }
     if (arg == "--follow") {
       follow = true;
       continue;
     }
-    if (arg == "--epoch-every" || arg.rfind("--epoch-every=", 0) == 0) {
-      std::string value;
-      if (arg.size() > 13 && arg[13] == '=') {
-        value = arg.substr(14);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::cerr << "error: --epoch-every requires a value\n";
-        return 2;
-      }
-      const auto parsed = parse_epoch_every(value);
-      if (!parsed) return 2;
-      epoch_every = *parsed;
-      continue;
-    }
-    if (arg == "--ring-capacity" || arg.rfind("--ring-capacity=", 0) == 0) {
-      std::string value;
-      if (arg.size() > 15 && arg[15] == '=') {
-        value = arg.substr(16);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::cerr << "error: --ring-capacity requires a value\n";
-        return 2;
-      }
-      const auto parsed = parse_ring_capacity(value);
-      if (!parsed) return 2;
-      ring_capacity = *parsed;
-      continue;
-    }
-    if (arg == "--update-events" || arg.rfind("--update-events=", 0) == 0) {
-      std::string value;
-      if (arg.size() > 15 && arg[15] == '=') {
-        value = arg.substr(16);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::cerr << "error: --update-events requires a value\n";
-        return 2;
-      }
-      const auto parsed = parse_update_events(value);
-      if (!parsed) return 2;
-      update_events = *parsed;
-      continue;
-    }
-    if (arg == "--scale" || arg.rfind("--scale=", 0) == 0) {
-      std::string value;
-      if (arg.size() > 7 && arg[7] == '=') {
-        value = arg.substr(8);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::cerr << "error: --scale requires a value\n";
-        return 2;
-      }
-      const auto parsed = parse_scale(value);
-      if (!parsed) return 2;
-      scale = *parsed;
-      continue;
-    }
     if (arg == "--stats") {
       stats = true;
-      continue;
-    }
-    if (arg == "--trace-out" || arg.rfind("--trace-out=", 0) == 0) {
-      if (arg.size() > 11 && arg[11] == '=') {
-        trace_out = arg.substr(12);
-      } else if (i + 1 < argc) {
-        trace_out = argv[++i];
-      }
-      if (!trace_out || trace_out->empty()) {
-        std::cerr << "error: --trace-out requires a non-empty path\n";
-        return 2;
-      }
       continue;
     }
     if (arg == "--json") {
@@ -890,32 +817,36 @@ int main(int argc, char** argv) {
       jobs = *parsed;
       continue;
     }
-    if (arg == "--port" || arg.rfind("--port=", 0) == 0) {
-      std::string value;
-      if (arg.size() > 6 && arg[6] == '=') {
-        value = arg.substr(7);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      } else {
-        std::cerr << "error: --port requires a value\n";
-        return 2;
-      }
-      const auto parsed = parse_port(value);
-      if (!parsed) return 2;
-      port = *parsed;
+    // Each parser prints its own diagnostic; a missing or invalid value
+    // leaves the option unset and exits 2.
+    std::optional<std::string> value;
+    if (option_value(argc, argv, i, "--epoch-every", false, value)) {
+      if (!value || !(epoch_every = parse_epoch_every(*value))) return 2;
       continue;
     }
-    if (arg == "--snapshot-out" || arg.rfind("--snapshot-out=", 0) == 0) {
-      if (arg.size() > 14 && arg[14] == '=') {
-        snapshot_out = arg.substr(15);
-      } else if (i + 1 < argc) {
-        snapshot_out = argv[++i];
-      }
-      // Reject an empty/missing path now, not after the whole census has run.
-      if (!snapshot_out || snapshot_out->empty()) {
-        std::cerr << "error: --snapshot-out requires a non-empty path\n";
-        return 2;
-      }
+    if (option_value(argc, argv, i, "--ring-capacity", false, value)) {
+      if (!value || !(ring_capacity = parse_ring_capacity(*value))) return 2;
+      continue;
+    }
+    if (option_value(argc, argv, i, "--update-events", false, value)) {
+      if (!value || !(update_events = parse_update_events(*value))) return 2;
+      continue;
+    }
+    if (option_value(argc, argv, i, "--scale", false, value)) {
+      if (!value || !(scale = parse_scale(*value))) return 2;
+      continue;
+    }
+    if (option_value(argc, argv, i, "--port", false, value)) {
+      if (!value || !(port = parse_port(*value))) return 2;
+      continue;
+    }
+    // Paths are checked now, not after the whole census has run.
+    if (option_value(argc, argv, i, "--trace-out", true, trace_out)) {
+      if (!trace_out) return 2;
+      continue;
+    }
+    if (option_value(argc, argv, i, "--snapshot-out", true, snapshot_out)) {
+      if (!snapshot_out) return 2;
       continue;
     }
     if (arg.size() > 1 && arg[0] == '-') {
@@ -974,14 +905,10 @@ int main(int argc, char** argv) {
       return cmd_generate(args[1], seed, update_events.value_or(0), scale.value_or(0));
     }
     if (cmd == "census" && args.size() == 3) {
-      return cmd_census(args[1], args[2], jobs.value_or(1), streaming, snapshot_out, stats,
-                        trace_out);
+      return cmd_census(args[1], args[2], jobs.value_or(1), snapshot_out, stats, trace_out);
     }
     if (cmd == "inspect" && args.size() == 2) return cmd_inspect(args[1]);
     if (cmd == "diff" && args.size() == 3) return cmd_diff(args[1], args[2]);
-    if (cmd == "snapshot-upgrade" && args.size() == 3) {
-      return cmd_snapshot_upgrade(args[1], args[2]);
-    }
     if (cmd == "query" && (args.size() == 3 || args.size() == 4)) {
       const auto asn = parse_asn_arg(args[2]);
       if (!asn) return 2;

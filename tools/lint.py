@@ -14,9 +14,10 @@ enforces them over ``src/`` and ``tools/``:
   wire-count-alloc  An allocation (``reserve``/``resize``/vector-size ctor)
                     sized directly by a ByteReader integer read (``r.u16()``
                     etc.) on the same statement.  Counts from the wire must
-                    land in a named variable and be bounded against
-                    ``remaining()`` *before* any allocation (see
-                    snapshot/reader.cpp's decode_count for the idiom).
+                    land in a named variable and be bounded against the
+                    bytes actually present *before* any allocation (see
+                    the count bounds in snapshot/layout.cpp's validate_v2
+                    for the idiom).
   unchecked-stoi    ``std::stoi``/``atoi``/``strtol``/``sscanf`` family:
                     these accept leading junk, ignore trailing junk, or have
                     UB on overflow.  Use util/strings' parse_u64/parse_asn.
@@ -167,7 +168,7 @@ LINE_RULES = [
             r"[^;)]*\b\w+\.u(?:8|16|32|64)\s*\(\s*\)"
         ),
         "allocation sized directly by a wire integer; name the count and "
-        "bound it against remaining() first (see snapshot decode_count)",
+        "bound it against the bytes present first (see validate_v2's count bounds)",
         lambda path: True,
     ),
     (
@@ -466,7 +467,8 @@ SELF_TEST_CASES = [
         "src/snapshot/good_alloc.cpp",
         "namespace htor {\n"
         "void decode(ByteReader& r, std::vector<int>& v) {\n"
-        "  const std::uint64_t count = decode_count(r, 9, \"rel\");\n"
+        "  const std::uint64_t count = r.u64();\n"
+        "  if (count > r.remaining() / 9) throw DecodeError(\"overrun\");\n"
         "  v.reserve(count);\n"
         "}\n"
         "}  // namespace htor\n",
