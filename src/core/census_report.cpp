@@ -1,8 +1,35 @@
 #include "core/census_report.hpp"
 
+#include <unordered_set>
+
 #include "obs/trace.hpp"
 
 namespace htor::core {
+
+namespace {
+
+/// Distinct ASes and prefixes of the RIB.  Every AS on a path with two or
+/// more distinct ASes is an endpoint of one of its links, so the link
+/// endpoints plus each route's origin cover every hop without walking it.
+void count_entities(const mrt::ObservedRib& rib, const std::vector<LinkKey>& v4_links,
+                    const std::vector<LinkKey>& v6_links, CensusReport& report) {
+  std::unordered_set<Prefix, PrefixHash> prefixes;
+  std::unordered_set<Asn> ases;
+  for (const auto& route : rib.routes()) {
+    prefixes.insert(route.prefix);
+    if (!route.as_path.empty()) ases.insert(route.as_path.back());
+  }
+  for (const auto* links : {&v4_links, &v6_links}) {
+    for (const LinkKey& key : *links) {
+      ases.insert(key.first);
+      ases.insert(key.second);
+    }
+  }
+  report.ases = ases.size();
+  report.prefixes = prefixes.size();
+}
+
+}  // namespace
 
 CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict,
                         const InferenceConfig& config, ThreadPool& pool) {
@@ -28,6 +55,10 @@ CensusReport run_census(const mrt::ObservedRib& rib, const rpsl::CommunityDictio
   report.v4_links = v4_links.size();
   report.v6_links = v6_links.size();
   report.dual_links = duals.size();
+  {
+    OBS_SPAN("census.entities");
+    count_entities(rib, v4_links, v6_links, report);
+  }
 
   {
     OBS_SPAN("census.infer");

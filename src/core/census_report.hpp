@@ -19,8 +19,12 @@ struct CensusReport {
   std::size_t v6_links = 0;          ///< distinct IPv6 AS links observed
   std::size_t v4_links = 0;
   std::size_t dual_links = 0;        ///< links visible in both families
+  std::size_t ases = 0;              ///< distinct ASes on any route
+  std::size_t prefixes = 0;          ///< distinct prefixes, both families
+  // Distinct links over both families: v4_links + v6_links - dual_links.
 
-  // Inference & coverage (¶1).
+  // Inference & coverage (¶1); inferred.top_voted_links are the links the
+  // community tags speak for most often.
   InferredRelationships inferred;
   CoverageStats v6_coverage;         ///< of all observed IPv6 links
   CoverageStats v4_coverage;

@@ -1,11 +1,11 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "core/parallel.hpp"
 #include "mrt/stream_reader.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace htor::core {
@@ -29,6 +29,29 @@ CommunityVotes collect_votes(std::vector<std::future<CommunityVotes>>& futures,
     }
   }
   return merged;
+}
+
+/// Exact most-voted links from the merged tallies.  The order is total
+/// (votes, then link), so unordered_map iteration order cannot leak in.
+std::vector<VotedLink> top_voted_links(const CommunityVotes& v4, const CommunityVotes& v6) {
+  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> totals;
+  for (const CommunityVotes* family : {&v4, &v6}) {
+    for (const auto& [key, tallies] : family->votes) {
+      for (const std::uint32_t n : tallies) totals[key] += n;
+    }
+  }
+  std::vector<VotedLink> links;
+  links.reserve(totals.size());
+  for (const auto& [key, votes] : totals) {
+    if (votes > 0) links.push_back({key, votes});
+  }
+  const std::size_t keep = std::min(links.size(), kTopVotedLinks);
+  std::partial_sort(links.begin(), links.begin() + static_cast<std::ptrdiff_t>(keep),
+                    links.end(), [](const VotedLink& a, const VotedLink& b) {
+                      return a.votes != b.votes ? a.votes > b.votes : a.link < b.link;
+                    });
+  links.resize(keep);
+  return links;
 }
 
 }  // namespace
@@ -63,24 +86,7 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
     const CommunityVotes v6_votes = collect_votes(v6_futures, first_error);
     if (first_error) std::rethrow_exception(first_error);
 
-    // Most-voted-links telemetry: one CMS feed from the POST-merge tallies,
-    // sorted by packed link so the heavy-hitter candidate set never depends
-    // on unordered_map iteration order (or on the ingest path taken).
-    {
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> link_votes;
-      link_votes.reserve(v4_votes.votes.size() + v6_votes.votes.size());
-      for (const CommunityVotes* family : {&v4_votes, &v6_votes}) {
-        for (const auto& [key, tallies] : family->votes) {
-          std::uint64_t total = 0;
-          for (const std::uint32_t n : tallies) total += n;
-          if (total > 0) {
-            link_votes.emplace_back(obs::sketch::link_item(key.first, key.second), total);
-          }
-        }
-      }
-      std::sort(link_votes.begin(), link_votes.end());
-      obs::sketch::Telemetry::global().feed_link_votes(link_votes);
-    }
+    out.top_voted_links = top_voted_links(v4_votes, v6_votes);
 
     out.community_v4 = tally_community_votes(v4_votes, config.community);
     out.community_v6 = tally_community_votes(v6_votes, config.community);

@@ -32,6 +32,17 @@ struct CoverageStats {
   }
 };
 
+/// One link's community-vote total, summed over both families.
+struct VotedLink {
+  LinkKey link;
+  std::uint64_t votes = 0;
+
+  friend bool operator==(const VotedLink&, const VotedLink&) = default;
+};
+
+/// How many links InferredRelationships::top_voted_links keeps.
+inline constexpr std::size_t kTopVotedLinks = 10;
+
 struct InferredRelationships {
   /// Final relationship maps (communities + Rosetta), one per family.
   RelationshipMap v4;
@@ -41,6 +52,10 @@ struct InferredRelationships {
   CommunityInferenceResult community_v6;
   RosettaResult rosetta_v4;
   RosettaResult rosetta_v6;
+
+  /// The kTopVotedLinks links with the most community votes, both families
+  /// summed; votes descending, then link ascending.
+  std::vector<VotedLink> top_voted_links;
 };
 
 /// Run the full inference over a collector RIB on `pool` (the per-route

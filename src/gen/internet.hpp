@@ -114,8 +114,8 @@ class SyntheticInternet {
   /// synthesize one deterministic customer-to-provider route per
   /// (vantage, origin) pair by joining the two ASes' memoized uplink
   /// chains.  IPv4 only, no communities; O(N · max_vantages) overall.
-  /// This is the substrate for the sketch-telemetry accuracy tests and
-  /// benches, not for relationship-inference experiments.
+  /// This is what `generate --scale` writes: input for ingest, census and
+  /// serving at scale, not for relationship-inference experiments.
   mrt::ObservedRib collect_scaled(std::size_t max_vantages = 4) const;
 
   /// Per-AS policies keyed by ASN for one plane (relaxation only in v6).

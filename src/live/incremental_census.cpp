@@ -5,7 +5,6 @@
 
 #include "core/community_inference.hpp"
 #include "core/snapshot_bridge.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "topology/valley.hpp"
 
 namespace htor::live {
@@ -106,19 +105,15 @@ void IncrementalCensus::apply(std::uint32_t timestamp, const mrt::Bgp4mpMessage&
   for (const auto& route : delta.removed) remove_route(route);
   for (const auto& route : delta.added) add_route(route);
   // Epoch churn: every entity a removed OR added route touches counts as
-  // churned.  HLL adds are idempotent, so a route that flaps repeatedly
+  // churned.  Set inserts are idempotent, so a route that flaps repeatedly
   // within one epoch still counts each entity once.
   for (const auto* routes : {&delta.removed, &delta.added}) {
     for (const auto& route : *routes) {
-      churn_prefixes_.add(obs::sketch::prefix_item(route.prefix));
-      std::uint32_t prev = 0;
-      bool have_prev = false;
-      for (const std::uint32_t asn : route.as_path) {
-        if (have_prev && asn == prev) continue;
-        churn_ases_.add(obs::sketch::as_item(asn));
-        if (have_prev) churn_links_.add(obs::sketch::link_item(prev, asn));
-        prev = asn;
-        have_prev = true;
+      churn_prefixes_.insert(route.prefix);
+      const auto& path = route.as_path;
+      churn_ases_.insert(path.begin(), path.end());
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        if (path[i] != path[i + 1]) churn_links_.emplace(path[i], path[i + 1]);
       }
     }
   }
@@ -270,25 +265,16 @@ EpochReport IncrementalCensus::recompute(ThreadPool& pool) const {
   epoch.applied = applied_;
   epoch.last_timestamp = applied_ == 0 ? seed_timestamp_ : last_timestamp_;
   epoch.snap = core::to_snapshot(epoch.report, source_, epoch.last_timestamp);
-  const ChurnEstimates churn = epoch_churn();
-  epoch.churn_ases = churn.ases;
-  epoch.churn_prefixes = churn.prefixes;
-  epoch.churn_links = churn.links;
+  epoch.churn_ases = churn_ases_.size();
+  epoch.churn_prefixes = churn_prefixes_.size();
+  epoch.churn_links = churn_links_.size();
   return epoch;
 }
 
-IncrementalCensus::ChurnEstimates IncrementalCensus::epoch_churn() const {
-  ChurnEstimates out;
-  out.ases = churn_ases_.estimate_count();
-  out.prefixes = churn_prefixes_.estimate_count();
-  out.links = churn_links_.estimate_count();
-  return out;
-}
-
 void IncrementalCensus::reset_epoch_churn() {
-  churn_ases_.reset();
-  churn_prefixes_.reset();
-  churn_links_.reset();
+  churn_ases_.clear();
+  churn_prefixes_.clear();
+  churn_links_.clear();
 }
 
 }  // namespace htor::live

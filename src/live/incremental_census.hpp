@@ -27,12 +27,12 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/census_report.hpp"
 #include "core/pipeline.hpp"
 #include "live/observed_rib.hpp"
-#include "obs/sketch/hll.hpp"
 #include "rpsl/community_dict.hpp"
 #include "snapshot/snapshot.hpp"
 #include "topology/relationship.hpp"
@@ -70,12 +70,12 @@ struct EpochReport {
   snapshot::Snapshot snap;
   std::uint64_t applied = 0;          ///< messages applied when cut
   std::uint32_t last_timestamp = 0;   ///< MRT timestamp of last applied record
-  // Churn cardinality of the epoch just closed: HLL estimates of the
-  // distinct ASes / prefixes / links touched by applied updates since the
-  // previous cut (announce or withdraw alike).
-  std::int64_t churn_ases = 0;
-  std::int64_t churn_prefixes = 0;
-  std::int64_t churn_links = 0;
+  // Churn of the epoch just closed: the distinct ASes / prefixes / links
+  // touched by applied updates since the previous cut (announce or
+  // withdraw alike).
+  std::uint64_t churn_ases = 0;
+  std::uint64_t churn_prefixes = 0;
+  std::uint64_t churn_links = 0;
 };
 
 class IncrementalCensus {
@@ -107,20 +107,12 @@ class IncrementalCensus {
   /// materialized RIB on `pool`.  Byte-identical to core::run_census on
   /// mrt-level state; the snapshot is stamped with the last applied MRT
   /// timestamp (or the seed timestamp before any applies) so identical
-  /// streams produce identical bytes.  Carries the current epoch-scoped
-  /// churn estimates; the caller decides when to reset_epoch_churn().
+  /// streams produce identical bytes.  Carries the churn counts since
+  /// construction or the last reset_epoch_churn(); the caller decides when
+  /// an epoch ends.
   EpochReport recompute(ThreadPool& pool) const;
 
-  /// Epoch-scoped churn cardinality: HLLs over the entities touched by
-  /// apply() since construction or the last reset_epoch_churn().  Feeding
-  /// is order-independent (HLL max), so estimates are deterministic for a
-  /// given update stream prefix regardless of ring capacity or timing.
-  struct ChurnEstimates {
-    std::int64_t ases = 0;
-    std::int64_t prefixes = 0;
-    std::int64_t links = 0;
-  };
-  ChurnEstimates epoch_churn() const;
+  /// Start the next epoch's churn sets from empty.
   void reset_epoch_churn();
 
  private:
@@ -162,12 +154,11 @@ class IncrementalCensus {
   std::uint32_t seed_timestamp_ = 0;
   std::uint32_t last_timestamp_ = 0;
 
-  // Epoch-scoped churn sketches, fed by apply() only (the seed RIB is not
-  // churn).  A smaller precision than the ingest sketches: churn per epoch
-  // is orders of magnitude below whole-RIB cardinality.
-  obs::sketch::Hll churn_ases_{12, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll churn_prefixes_{12, obs::sketch::kTelemetrySeed};
-  obs::sketch::Hll churn_links_{12, obs::sketch::kTelemetrySeed};
+  // Entities touched by apply() since the last epoch cut (the seed RIB is
+  // not churn).  O(churn) memory per epoch.
+  std::unordered_set<Asn> churn_ases_;
+  std::unordered_set<Prefix, PrefixHash> churn_prefixes_;
+  std::unordered_set<LinkKey, LinkKeyHash> churn_links_;
 };
 
 }  // namespace htor::live

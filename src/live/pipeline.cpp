@@ -8,7 +8,6 @@
 
 #include "mrt/reader.hpp"
 #include "mrt/stream_reader.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/spsc_ring.hpp"
 
@@ -50,6 +49,9 @@ Pipeline::Pipeline(IncrementalCensus& census, PipelineConfig config)
   push_waits_apply_ = reg.counter("htor_live_push_waits_total", {{"stage", "apply"}});
   routes_ = reg.gauge("htor_live_routes");
   staleness_ = reg.gauge("htor_live_staleness_updates");
+  churn_ases_ = reg.gauge("htor_live_epoch_churn", {{"kind", "as"}});
+  churn_prefixes_ = reg.gauge("htor_live_epoch_churn", {{"kind", "prefix"}});
+  churn_links_ = reg.gauge("htor_live_epoch_churn", {{"kind", "link"}});
 }
 
 PipelineResult Pipeline::run(const std::vector<std::string>& update_paths,
@@ -157,11 +159,11 @@ PipelineResult Pipeline::run(const std::vector<std::string>& update_paths,
   auto emit_epoch = [&] {
     OBS_SPAN("live.epoch");
     const EpochReport epoch = census_.recompute(epoch_pool);
-    // Publish the closing epoch's churn cardinality, then start the next
-    // epoch's sketches from zero — the gauges always describe the last
-    // *completed* epoch.
-    obs::sketch::Telemetry::global().set_epoch_churn(epoch.churn_ases, epoch.churn_prefixes,
-                                                     epoch.churn_links);
+    // Publish the closing epoch's churn, then start the next epoch's sets
+    // from empty — the gauges always describe the last *completed* epoch.
+    churn_ases_.set(static_cast<std::int64_t>(epoch.churn_ases));
+    churn_prefixes_.set(static_cast<std::int64_t>(epoch.churn_prefixes));
+    churn_links_.set(static_cast<std::int64_t>(epoch.churn_links));
     census_.reset_epoch_churn();
     ++result.epochs;
     epochs_total_.inc();

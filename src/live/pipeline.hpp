@@ -35,6 +35,7 @@
 //   htor_live_ring_depth{stage=}                               occupancy
 //   htor_live_routes, htor_live_staleness_updates              freshness
 //   htor_live_epochs_total + OBS_SPAN("live.epoch")            epochs
+//   htor_live_epoch_churn{kind=as|prefix|link}                 last epoch's churn
 #pragma once
 
 #include <atomic>
@@ -107,6 +108,9 @@ class Pipeline {
   obs::Counter push_waits_apply_;
   obs::Gauge routes_;
   obs::Gauge staleness_;
+  obs::Gauge churn_ases_;
+  obs::Gauge churn_prefixes_;
+  obs::Gauge churn_links_;
 };
 
 }  // namespace htor::live

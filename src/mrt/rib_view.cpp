@@ -4,29 +4,9 @@
 #include <map>
 
 #include "core/parallel.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace htor::mrt {
-
-namespace {
-
-/// Feed a route's links through the global Bloom seen-set, in path order.
-/// Runs on the sequential apply leg only, so the feed order is the record
-/// order — identical for every --jobs value and for the in-memory and the
-/// streaming join.
-void note_route_links(obs::sketch::Telemetry& telemetry, const ObservedRoute& route) {
-  std::uint32_t prev = 0;
-  bool have_prev = false;
-  for (const std::uint32_t asn : route.as_path) {
-    if (have_prev && asn == prev) continue;
-    if (have_prev) telemetry.note_link_seen(obs::sketch::link_item(prev, asn));
-    prev = asn;
-    have_prev = true;
-  }
-}
-
-}  // namespace
 
 void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers,
                      std::vector<ObservedRoute>& out) {
@@ -89,30 +69,17 @@ ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& poo
 
   // The per-record attribute joins (AS_SET flattening, community copies)
   // shard on the pool; shards merge in record order.
-  struct DecodedShard {
-    std::vector<ObservedRoute> routes;
-    obs::sketch::IngestBundle sketches;
-  };
   auto shards = core::shard_map(pool, joins.size(), [&joins](const core::ShardRange& range) {
-    DecodedShard out;
+    std::vector<ObservedRoute> routes;
     for (std::size_t i = range.begin; i < range.end; ++i) {
-      const std::size_t first = out.routes.size();
-      join_rib_record(*joins[i].first, *joins[i].second, out.routes);
-      for (std::size_t r = first; r < out.routes.size(); ++r) {
-        out.sketches.add_route(out.routes[r].prefix, out.routes[r].as_path);
-      }
+      join_rib_record(*joins[i].first, *joins[i].second, routes);
     }
-    return out;
+    return routes;
   });
 
   ObservedRib rib;
-  auto& telemetry = obs::sketch::Telemetry::global();
   for (auto& shard : shards) {
-    telemetry.absorb(shard.sketches);
-    for (auto& route : shard.routes) {
-      note_route_links(telemetry, route);
-      rib.add(std::move(route));
-    }
+    for (auto& route : shard) rib.add(std::move(route));
   }
   return rib;
 }

@@ -6,7 +6,6 @@
 #include "core/parallel.hpp"
 #include "mrt/reader.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
 
@@ -52,21 +51,14 @@ struct PendingRecord {
   std::shared_ptr<const PeerIndexTable> peers;
 };
 
-/// One shard's decode output: the joined routes plus the shard-local sketch
-/// accumulator (fed with no locking; absorbed in shard order below).
-struct DecodedShard {
-  std::vector<ObservedRoute> routes;
-  obs::sketch::IngestBundle sketches;
-};
-
 /// Decode + join one batch on the pool; shards merge in record order.
 void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRib& rib) {
   IngestMetrics::get().batches.inc();
-  std::vector<DecodedShard> shards;
+  std::vector<std::vector<ObservedRoute>> shards;
   {
     OBS_SPAN("ingest.decode");
     shards = core::shard_map(pool, batch.size(), [&batch](const core::ShardRange& range) {
-      DecodedShard out;
+      std::vector<ObservedRoute> routes;
       for (std::size_t i = range.begin; i < range.end; ++i) {
         const PendingRecord& item = batch[i];
         Record record;
@@ -79,34 +71,15 @@ void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRi
         }
         const auto* rib_rec = std::get_if<RibPrefixRecord>(&record.body);
         if (rib_rec == nullptr) continue;  // decoded only to validate the bytes
-        const std::size_t first = out.routes.size();
-        join_rib_record(*rib_rec, *item.peers, out.routes);
-        for (std::size_t r = first; r < out.routes.size(); ++r) {
-          out.sketches.add_route(out.routes[r].prefix, out.routes[r].as_path);
-        }
+        join_rib_record(*rib_rec, *item.peers, routes);
       }
-      return out;
+      return routes;
     });
   }
   {
     OBS_SPAN("ingest.apply");
-    auto& telemetry = obs::sketch::Telemetry::global();
     for (auto& shard : shards) {
-      telemetry.absorb(shard.sketches);
-      for (auto& route : shard.routes) {
-        // Bloom pre-filter on the sequential leg: the feed order is the
-        // record order, identical at every --jobs value and to the
-        // in-memory rib_from_records join.
-        std::uint32_t prev = 0;
-        bool have_prev = false;
-        for (const std::uint32_t asn : route.as_path) {
-          if (have_prev && asn == prev) continue;
-          if (have_prev) telemetry.note_link_seen(obs::sketch::link_item(prev, asn));
-          prev = asn;
-          have_prev = true;
-        }
-        rib.add(std::move(route));
-      }
+      for (auto& route : shard) rib.add(std::move(route));
     }
   }
   batch.clear();

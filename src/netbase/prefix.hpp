@@ -53,15 +53,12 @@ class Prefix {
 };
 
 /// FNV-1a over the canonical bytes; suitable for unordered_map keys.
-/// Process-local only — never feeds a mergeable sketch (those hash through
-/// obs/sketch/hash.hpp), so the inline constants are fine here.
 struct PrefixHash {
   std::size_t operator()(const Prefix& p) const {
-    // lint: allow(raw-hash) unordered_map functor, not sketch input
     std::uint64_t h = 1469598103934665603ull;
     auto mix = [&h](std::uint8_t b) {
       h ^= b;
-      h *= 1099511628211ull;  // lint: allow(raw-hash) FNV prime of the same functor
+      h *= 1099511628211ull;
     };
     mix(static_cast<std::uint8_t>(p.version()));
     mix(p.length());

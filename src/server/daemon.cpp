@@ -109,6 +109,17 @@ void QueryDaemon::register_metrics() {
   using Kind = obs::MetricsRegistry::Kind;
   polled_.push_back(registry.callback("htor_daemon_epoch", {}, Kind::Gauge,
                                       [this] { return static_cast<std::int64_t>(epoch()); }));
+  // The served index's counts (the /v1/summary "index" object): read off
+  // the current state, so a swap or reload replaces them with the index.
+  polled_.push_back(registry.callback("htor_served_links", {}, Kind::Gauge, [this] {
+    return static_cast<std::int64_t>(current()->index.link_count());
+  }));
+  polled_.push_back(registry.callback("htor_served_ases", {}, Kind::Gauge, [this] {
+    return static_cast<std::int64_t>(current()->index.as_count());
+  }));
+  polled_.push_back(registry.callback("htor_served_hybrid_links", {}, Kind::Gauge, [this] {
+    return static_cast<std::int64_t>(current()->index.hybrid_count());
+  }));
   polled_.push_back(registry.callback(
       "htor_http_active_connections", {}, Kind::Gauge, [this] {
         return static_cast<std::int64_t>(active_connections_.load(std::memory_order_relaxed));
@@ -514,18 +525,6 @@ std::string QueryDaemon::metrics_json() const {
   json.key("ok").value(reloads_ok_.value());
   json.key("failed").value(reloads_failed_.value());
   json.key("last_us").value(static_cast<std::uint64_t>(last_reload_us_.value()));
-  json.end_object();
-
-  // Sketch estimates: polled straight off the registry's callback metrics,
-  // so the daemon needs no knowledge of which sketches exist — the keys
-  // here render exactly like the Prometheus identities ("name" or
-  // "name{label=\"v\"}"), which the endpoint-agreement e2e pins.
-  json.key("sketches").begin_object();
-  for (const auto& sample :
-       obs::MetricsRegistry::global().polled_samples("htor_sketch_")) {
-    json.key(sample.name + sample.labels)
-        .value(static_cast<std::uint64_t>(std::max<std::int64_t>(0, sample.value)));
-  }
   json.end_object();
 
   json.end_object();

@@ -34,15 +34,19 @@
 //   GET  /v1/neighbors/<asn> full neighbor list with both planes
 //   GET  /v1/summary         dataset / coverage / valley / hybrid counters
 //   GET  /v1/healthz         liveness + current epoch
-//   GET  /v1/metrics         request counts, latency histogram, epoch (JSON)
+//   GET  /v1/metrics         the daemon's own series as JSON: epoch and
+//                            snapshot identity, request/status counts,
+//                            latency histogram, reload outcomes
 //   GET  /metrics            Prometheus text exposition of the process-wide
 //                            obs::MetricsRegistry (daemon, reload, thread
-//                            pool, snapshot, ingest — everything)
+//                            pool, snapshot, ingest — everything), including
+//                            htor_served_{links,ases,hybrid_links}: the
+//                            served index's /v1/summary "index" counts
 //   POST /v1/reload          reload the snapshot file, swap on success
 //
-// Telemetry lives in obs::MetricsRegistry::global(); /v1/metrics and
-// /metrics are two renderings of the same counters, so they can never
-// disagree.  Recording points, fixed deliberately:
+// Telemetry lives in obs::MetricsRegistry::global(); every /v1/metrics
+// value renders from the same handles /metrics scrapes, so the two can
+// never disagree.  Recording points, fixed deliberately:
 //
 //   - Request/status counters increment in handle(), after route() returns —
 //     so a metrics body rendered *inside* route() never counts its own
@@ -198,9 +202,9 @@ class QueryDaemon {
   obs::Counter reloads_ok_;
   obs::Counter reloads_failed_;
   obs::Gauge last_reload_us_;
-  /// Polled gauges (epoch, active connections, pool queue depth / executed
-  /// tasks).  Declared last: destroyed first, so no scrape can reach a
-  /// callback after the members it reads are gone.
+  /// Polled gauges (epoch, the served index's counts, active connections,
+  /// pool queue depth / executed tasks).  Declared last: destroyed first,
+  /// so no scrape can reach a callback after the members it reads are gone.
   std::vector<obs::CallbackMetric> polled_;
 };
 

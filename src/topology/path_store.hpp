@@ -16,15 +16,13 @@
 
 namespace htor {
 
-/// FNV-1a unordered_map functor.  Process-local only — never feeds a
-/// mergeable sketch (those hash through obs/sketch/hash.hpp).
+/// FNV-1a unordered_map functor.
 struct AsnVectorHash {
   std::size_t operator()(const std::vector<Asn>& v) const {
-    // lint: allow(raw-hash) unordered_map functor, not sketch input
     std::uint64_t h = 1469598103934665603ull;
     for (Asn a : v) {
       h ^= a;
-      h *= 1099511628211ull;  // lint: allow(raw-hash) FNV prime of the same functor
+      h *= 1099511628211ull;
     }
     return static_cast<std::size_t>(h);
   }

@@ -1,7 +1,9 @@
 # End-to-end exercise of the hybridtor CLI, run as a CTest:
 #   1. `generate` into a fresh (nested, not pre-created) temp dir — exit 0,
 #      all three artifacts present.
-#   2. `census` on the artifacts — exit 0, key report lines present.
+#   2. `census` on the artifacts — exit 0, key report lines present; `inspect`
+#      on the same rib.mrt counts the same distinct ASes, prefixes and AS
+#      links (two independent counts of one RIB, each the other's oracle).
 #   3. `census --jobs 4` — byte-identical output to --jobs 1.
 #   4. `census` on a missing rib.mrt — non-zero exit, diagnostic names the file.
 #   5. `census` on a truncated rib.mrt — non-zero exit, no partial report
@@ -63,11 +65,30 @@ foreach(needle
         "dual-stack links"
         "hybrid links"
         "IPv6 valley paths"
-        "sketch telemetry"
-        "unique ASes (HLL)")
+        "dataset entities"
+        "most-voted links")
   string(FIND "${census_j1}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "census report is missing line '${needle}':\n${census_j1}")
+  endif()
+endforeach()
+
+execute_process(COMMAND "${HYBRIDTOR}" inspect "${DATA_DIR}/rib.mrt"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE inspect_out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "inspect failed (rc=${rc}): ${err}")
+endif()
+foreach(entity "ASes" "prefixes" "AS links")
+  string(REGEX MATCH "distinct ${entity}:? +([0-9]+)" census_match "${census_j1}")
+  set(census_count "${CMAKE_MATCH_1}")
+  string(REGEX MATCH "distinct ${entity}:? +([0-9]+)" inspect_match "${inspect_out}")
+  set(inspect_count "${CMAKE_MATCH_1}")
+  if(census_match STREQUAL "" OR inspect_match STREQUAL "")
+    message(FATAL_ERROR "missing 'distinct ${entity}' count:\n${census_j1}\n${inspect_out}")
+  endif()
+  if(NOT census_count EQUAL inspect_count)
+    message(FATAL_ERROR "distinct ${entity}: census says ${census_count}, "
+                        "inspect says ${inspect_count}")
   endif()
 endforeach()
 

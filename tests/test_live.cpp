@@ -21,6 +21,7 @@
 #include "live/observed_rib.hpp"
 #include "live/pipeline.hpp"
 #include "mrt/writer.hpp"
+#include "obs/metrics.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/writer.hpp"
 
@@ -375,6 +376,61 @@ TEST(IncrementalCensus, ValleyTelemetryIsMonotonic) {
     ASSERT_GE(total, last_total);
     last_total = total;
   }
+}
+
+// Epoch churn is exact: the distinct prefixes, ASes and links touched by
+// the epoch's updates.  A route that flaps within an epoch counts once, the
+// next epoch starts from zero, and the live pipeline's gauges carry the
+// same numbers as the EpochReport handed to on_epoch.
+TEST(LivePipeline, EpochChurnIsExactAndEpochScoped) {
+  std::vector<mrt::Record> updates;
+  auto add = [&updates](mrt::Bgp4mpMessage msg) {
+    updates.push_back(mrt::Record{kSeedTimestamp + static_cast<std::uint32_t>(updates.size()),
+                                  std::move(msg)});
+  };
+  // Epoch 1: 10.1/16 flaps (announce, withdraw, announce), 10.2/16 arrives
+  // with a prepend.  Prefixes {10.1, 10.2}; ASes 65001-65004; links 1-2,
+  // 2-3, 2-4.
+  add(v4_announce(65001, "10.1.0.0/16", {65001, 65002, 65003}));
+  add(v4_withdraw(65001, "10.1.0.0/16"));
+  add(v4_announce(65001, "10.1.0.0/16", {65001, 65002, 65003}));
+  add(v4_announce(65001, "10.2.0.0/16", {65001, 65002, 65002, 65004}));
+  // Epoch 2: 10.2/16 flaps back; withdraws of an unknown route touch
+  // nothing.  Prefix {10.2}; ASes 65001, 65002, 65004; links 1-2, 2-4.
+  add(v4_withdraw(65001, "10.2.0.0/16"));
+  add(v4_announce(65001, "10.2.0.0/16", {65001, 65002, 65002, 65004}));
+  add(v4_withdraw(65001, "10.9.0.0/16"));
+  add(v4_withdraw(65001, "10.9.0.0/16"));
+  const std::string path = write_updates_file(updates, "live_churn_updates.mrt");
+
+  IncrementalCensus census(mrt::ObservedRib{}, rpsl::CommunityDictionary{},
+                           core::InferenceConfig{}, kSource, kSeedTimestamp);
+  PipelineConfig pipeline_config;
+  pipeline_config.epoch_every = 4;
+  Pipeline pipeline(census, pipeline_config);
+
+  auto& reg = obs::MetricsRegistry::global();
+  const auto gauge = [&reg](const char* kind) {
+    const auto value = reg.gauge("htor_live_epoch_churn", {{"kind", kind}}).value();
+    return static_cast<std::uint64_t>(value);
+  };
+  struct Churn {
+    std::uint64_t prefixes, ases, links;
+    bool operator==(const Churn&) const = default;
+  };
+  std::vector<Churn> seen;
+  ThreadPool pool(1);
+  const auto result = pipeline.run({path}, pool, [&](const EpochReport& epoch) {
+    seen.push_back({epoch.churn_prefixes, epoch.churn_ases, epoch.churn_links});
+    EXPECT_EQ(gauge("prefix"), epoch.churn_prefixes);
+    EXPECT_EQ(gauge("as"), epoch.churn_ases);
+    EXPECT_EQ(gauge("link"), epoch.churn_links);
+  });
+  EXPECT_EQ(result.applied, updates.size());
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], (Churn{2, 4, 3}));
+  EXPECT_EQ(seen[1], (Churn{1, 3, 2}));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // answers /v1/link on a keep-alive connection WHILE the BGP4MP update
 // stream is applied and epochs are swapped in underneath it — no dropped
 // connections, the epoch counter advances with every publish, and
-// GET /metrics exposes the htor_live_* pipeline series.
+// GET /metrics exposes the htor_live_* pipeline series and htor_served_*
+// gauges that describe the index being served.
 //
 // Labeled `e2e` in CTest so the slow suites can be filtered with -LE e2e.
 #include <gtest/gtest.h>
@@ -18,15 +19,21 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/census_report.hpp"
+#include "core/snapshot_bridge.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "live/follow.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
+#include "rpsl/object.hpp"
+#include "snapshot/query.hpp"
 
 namespace htor::live {
 namespace {
@@ -116,6 +123,17 @@ Client::Response fetch(std::uint16_t port, const std::string& method,
   EXPECT_TRUE(client.connected());
   EXPECT_TRUE(client.send_raw(method + " " + target + " HTTP/1.1\r\nConnection: close\r\n\r\n"));
   return client.read_response();
+}
+
+/// The value of one sample line ("name{labels} 42") in a Prometheus text
+/// exposition, or nullopt when the sample is absent.
+std::optional<std::uint64_t> prom_value(const std::string& text, const std::string& sample) {
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(sample + " ", 0) == 0) return std::stoull(line.substr(sample.size() + 1));
+  }
+  return std::nullopt;
 }
 
 // --------------------------------------------------------------- fixture
@@ -253,6 +271,34 @@ TEST(LiveFollowE2E, ServesQueriesWhileStreamingAndAdvancesEpochs) {
             std::string::npos)
       << "records counter should equal the stream length";
 
+  service.stop();
+}
+
+// After several epochs the daemon's gauges describe the state it serves:
+// each equals the index of a fresh batch census over the live RIB, not a
+// sum over everything the process has ingested since it started.
+TEST(LiveFollowE2E, ServedGaugesEqualAFreshCensusAfterEpochs) {
+  obs::MetricsRegistry::global().reset_values();
+  const LiveFiles& f = files();
+  FollowService service(f.rib, f.irr, {f.updates}, follow_config(500));
+  service.start();
+  service.wait();
+  ASSERT_GE(service.epochs_published(), 3u);
+
+  std::ifstream irr(f.irr);
+  std::ostringstream irr_text;
+  irr_text << irr.rdbuf();
+  const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(irr_text.str()));
+  ThreadPool pool(1);
+  const auto report =
+      core::run_census(service.census().rib().materialize(), dict, core::InferenceConfig{}, pool);
+  const snapshot::QueryIndex fresh(core::to_snapshot(report, f.rib, 0));
+
+  const auto metrics = fetch(service.port(), "GET", "/metrics");
+  ASSERT_TRUE(metrics.ok);
+  EXPECT_EQ(prom_value(metrics.body, "htor_served_links"), fresh.link_count());
+  EXPECT_EQ(prom_value(metrics.body, "htor_served_ases"), fresh.as_count());
+  EXPECT_EQ(prom_value(metrics.body, "htor_served_hybrid_links"), fresh.hybrid_count());
   service.stop();
 }
 

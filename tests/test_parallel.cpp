@@ -10,6 +10,8 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/census_report.hpp"
 #include "core/parallel.hpp"
@@ -305,6 +307,52 @@ TEST_F(ParallelFixture, FullCensusMatchesAcrossJobCounts) {
       EXPECT_EQ(report.hybrids.hybrids[i].link, base.hybrids.hybrids[i].link);
       EXPECT_EQ(report.hybrids.hybrids[i].rel_v4, base.hybrids.hybrids[i].rel_v4);
       EXPECT_EQ(report.hybrids.hybrids[i].rel_v6, base.hybrids.hybrids[i].rel_v6);
+    }
+  }
+}
+
+// The dataset entity counts and the most-voted links are exact values of
+// the run: every run_census call in the process gives the same ones, at
+// any job count, and they equal a brute force over every hop of every path
+// and an unsharded vote scan.
+TEST_F(ParallelFixture, DatasetEntitiesMatchBruteForce) {
+  std::unordered_set<Prefix, PrefixHash> prefixes;
+  std::unordered_set<Asn> ases;
+  std::unordered_set<LinkKey, LinkKeyHash> links;
+  for (const auto& route : rib().routes()) {
+    prefixes.insert(route.prefix);
+    const auto& path = route.as_path;
+    ases.insert(path.begin(), path.end());
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      if (path[i] != path[i + 1]) links.emplace(path[i], path[i + 1]);
+    }
+  }
+  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> vote_sums;
+  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    const auto routes = rib().routes_of(af);
+    const auto votes = core::scan_community_votes(routes, 0, routes.size(), dict());
+    for (const auto& [key, tallies] : votes.votes) {
+      for (const std::uint32_t n : tallies) vote_sums[key] += n;
+    }
+  }
+  std::vector<core::VotedLink> top;
+  for (const auto& [key, votes] : vote_sums) {
+    if (votes > 0) top.push_back({key, votes});
+  }
+  std::sort(top.begin(), top.end(), [](const core::VotedLink& a, const core::VotedLink& b) {
+    return a.votes != b.votes ? a.votes > b.votes : a.link < b.link;
+  });
+  top.resize(std::min(top.size(), core::kTopVotedLinks));
+  ASSERT_EQ(top.size(), core::kTopVotedLinks);
+
+  for (std::size_t jobs : {1u, 4u}) {
+    ThreadPool pool(jobs);
+    for (int run = 0; run < 2; ++run) {
+      const auto report = core::run_census(rib(), dict(), {}, pool);
+      EXPECT_EQ(report.ases, ases.size()) << "jobs=" << jobs << " run=" << run;
+      EXPECT_EQ(report.prefixes, prefixes.size()) << "jobs=" << jobs << " run=" << run;
+      EXPECT_EQ(report.v4_links + report.v6_links - report.dual_links, links.size());
+      EXPECT_EQ(report.inferred.top_voted_links, top) << "jobs=" << jobs << " run=" << run;
     }
   }
 }

@@ -31,21 +31,16 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "core/hybrid.hpp"
-#include "gen/internet.hpp"
-#include "mrt/rib_view.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "server/daemon.hpp"
 #include "server/render.hpp"
 #include "snapshot/query.hpp"
 #include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace htor::server {
 namespace {
@@ -605,81 +600,26 @@ TEST_F(ServerE2E, PrometheusAndJsonMetricsAgree) {
             std::string::npos);
   EXPECT_NE(prom_resp.body.find("htor_snapshot_opens_total"), std::string::npos);
   EXPECT_NE(prom_resp.body.find("htor_daemon_epoch"), std::string::npos);
+}
 
-  // ------------------------------------------------ sketches at scale
-  // Census ingest over a ≥100k-AS synthetic internet, run at --jobs 1 and
-  // --jobs 4: the sketch snapshots must be identical (fixed shard
-  // boundaries), the HLL estimates within 2% of exact, and every
-  // htor_sketch_* gauge must render the same value on GET /metrics and
-  // /v1/metrics — the daemon knows nothing about sketches, so agreement
-  // proves the callback-gauge plumbing end to end.
-  const auto net = gen::SyntheticInternet::generate(gen::scale_params(100'100, 42));
-  const auto rib = net.collect_scaled(1);
-  const auto records = mrt::records_from_rib(rib, 1, "sketch-e2e", 1281052800u);
-
-  std::unordered_set<std::uint64_t> exact_ases;
-  std::unordered_set<std::uint64_t> exact_links;
-  for (const auto& route : rib.routes()) {
-    std::uint32_t prev = 0;
-    bool have_prev = false;
-    for (const std::uint32_t asn : route.as_path) {
-      if (have_prev && asn == prev) continue;
-      exact_ases.insert(obs::sketch::as_item(asn));
-      if (have_prev) exact_links.insert(obs::sketch::link_item(prev, asn));
-      prev = asn;
-      have_prev = true;
-    }
-  }
-  ASSERT_GE(exact_ases.size(), 100'000u);
-
-  auto& telemetry = obs::sketch::Telemetry::global();
-  std::vector<obs::sketch::Telemetry::Snapshot> snaps;
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    telemetry.reset();
-    ThreadPool ingest_pool(jobs);
-    const auto loaded = mrt::rib_from_records(records, ingest_pool);
-    ASSERT_EQ(loaded.routes().size(), rib.routes().size());
-    snaps.push_back(telemetry.snapshot());
-  }
-  EXPECT_EQ(snaps[0].unique_ases, snaps[1].unique_ases);
-  EXPECT_EQ(snaps[0].unique_prefixes, snaps[1].unique_prefixes);
-  EXPECT_EQ(snaps[0].unique_links, snaps[1].unique_links);
-  EXPECT_EQ(snaps[0].bloom_hits, snaps[1].bloom_hits);
-  EXPECT_EQ(snaps[0].bloom_misses, snaps[1].bloom_misses);
-  const double as_error =
-      std::abs(static_cast<double>(snaps[1].unique_ases) -
-               static_cast<double>(exact_ases.size())) /
-      static_cast<double>(exact_ases.size());
-  EXPECT_LE(as_error, 0.02);
-  const double link_error =
-      std::abs(static_cast<double>(snaps[1].unique_links) -
-               static_cast<double>(exact_links.size())) /
-      static_cast<double>(exact_links.size());
-  EXPECT_LE(link_error, 0.02);
-
-  // Scrape both endpoints with the --jobs 4 state live.  Sketch gauges do
-  // not self-observe, so the two bodies must agree exactly, sample for
-  // sample.
-  const auto sketch_json = fetch(port_, "GET", "/v1/metrics");
-  ASSERT_TRUE(sketch_json.ok);
-  const auto sketch_prom = fetch(port_, "GET", "/metrics");
-  ASSERT_TRUE(sketch_prom.ok);
-  const auto sketch_doc = JsonValue::parse(sketch_json.body);
-  const auto& sketches = sketch_doc.at("sketches").as_object();
-  EXPECT_GE(sketches.size(), 10u);
-  EXPECT_TRUE(sketches.count("htor_sketch_unique_as_estimate"));
-  EXPECT_TRUE(sketches.count("htor_sketch_unique_prefixes_estimate"));
-  EXPECT_TRUE(sketches.count("htor_sketch_unique_links_estimate"));
-  EXPECT_TRUE(sketches.count("htor_sketch_bloom_link_misses_total"));
-  EXPECT_TRUE(sketches.count("htor_sketch_epoch_churn_estimate{kind=\"as\"}"));
-  for (const auto& [identity, value] : sketches) {
-    const auto prom = prom_value(sketch_prom.body, identity);
-    ASSERT_TRUE(prom.has_value()) << identity << " missing from Prometheus text";
-    EXPECT_EQ(*prom, value.as_uint()) << identity;
-  }
-  EXPECT_EQ(sketches.at("htor_sketch_unique_as_estimate").as_uint(),
-            static_cast<std::uint64_t>(snaps[1].unique_ases));
-  telemetry.reset();
+// The htor_served_* gauges read the serving state, so they equal the
+// /v1/summary "index" counts of whatever is served — and follow a reload.
+TEST_F(ServerE2E, ServedGaugesTrackTheServedIndex) {
+  auto expect_gauges_match_summary = [this] {
+    const auto summary = JsonValue::parse(fetch(port_, "GET", "/v1/summary").body);
+    const auto& index = summary.at("index");
+    const auto prom = fetch(port_, "GET", "/metrics");
+    EXPECT_TRUE(prom.ok);
+    EXPECT_EQ(prom_value(prom.body, "htor_served_links"), index.at("links").as_uint());
+    EXPECT_EQ(prom_value(prom.body, "htor_served_ases"), index.at("ases").as_uint());
+    EXPECT_EQ(prom_value(prom.body, "htor_served_hybrid_links"),
+              index.at("hybrid_links").as_uint());
+    return index.at("hybrid_links").as_uint();
+  };
+  const auto hybrids_before = expect_gauges_match_summary();
+  snapshot::Writer::write_file(make_snapshot(false), snap_path_);
+  ASSERT_EQ(fetch(port_, "POST", "/v1/reload").status, 200);
+  EXPECT_NE(expect_gauges_match_summary(), hybrids_before);
 }
 
 }  // namespace

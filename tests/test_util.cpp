@@ -201,6 +201,14 @@ TEST(Hash, DeterministicAndSpread) {
   EXPECT_EQ(hash_unit(hash_mix(7, 9)), u);
 }
 
+// Known answers: the generator derives TE overrides and geo tags from these
+// bits, so any change to a primitive changes `generate` output.
+TEST(Hash, KnownAnswers) {
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(hash_mix(7, 9), 0x86296af7beb9f0f7ull);
+  EXPECT_EQ(hash_unit(hash_mix(7, 9)), 0x1.aaaa89f737f24p-2);
+}
+
 TEST(Hash, UnitIsApproximatelyUniform) {
   double sum = 0;
   for (std::uint64_t i = 0; i < 10000; ++i) sum += hash_unit(i);

@@ -75,6 +75,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/census_report.hpp"
@@ -89,7 +91,6 @@
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sketch/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "rpsl/object.hpp"
 #include "server/daemon.hpp"
@@ -311,6 +312,10 @@ void print_stage_stats(std::ostream& out) {
   t.print(out);
 }
 
+std::string link_name(const LinkKey& link) {
+  return "AS" + std::to_string(link.first) + "-AS" + std::to_string(link.second);
+}
+
 int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::size_t jobs,
                const std::optional<std::string>& snapshot_out, bool stats,
                const std::optional<std::string>& trace_out) {
@@ -365,29 +370,18 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
     top.print(std::cout);
   }
 
-  // Sketch telemetry fed during ingest + inference.  Only path-independent
-  // values appear here: HLL estimates, the Bloom hit/miss split (fed in
-  // record order on the sequential apply leg), and the post-merge link-vote
-  // heavy hitters — so this section honours the same byte-identity contract
-  // across --jobs that the rest of the report does.
-  const auto sketch = obs::sketch::Telemetry::global().snapshot();
-  std::cout << "\nsketch telemetry (~" << sketch.memory_bytes / 1024 << " KiB resident):\n";
-  Table sk({"estimate", "value"});
-  sk.row({"unique ASes (HLL)", "~" + std::to_string(sketch.unique_ases)});
-  sk.row({"unique prefixes (HLL)", "~" + std::to_string(sketch.unique_prefixes)});
-  sk.row({"unique AS links (HLL)", "~" + std::to_string(sketch.unique_links)});
-  sk.row({"link bloom pre-filter", std::to_string(sketch.bloom_hits) + " hits / " +
-                                       std::to_string(sketch.bloom_misses) + " misses"});
-  sk.print(std::cout);
-  if (!sketch.top_link_votes.empty()) {
-    std::cout << "\nmost-voted links (CMS estimates):\n";
-    Table votes({"link", "~votes"});
-    for (std::size_t i = 0; i < sketch.top_link_votes.size() && i < 10; ++i) {
-      const auto& hh = sketch.top_link_votes[i];
-      const auto a = static_cast<std::uint32_t>(hh.item >> 32);
-      const auto b = static_cast<std::uint32_t>(hh.item);
-      votes.row({"AS" + std::to_string(a) + "-AS" + std::to_string(b),
-                 std::to_string(hh.estimate)});
+  std::cout << "\ndataset entities:\n";
+  Table entities({"entity", "count"});
+  entities.row({"distinct ASes", std::to_string(census.ases)});
+  entities.row({"distinct prefixes", std::to_string(census.prefixes)});
+  entities.row({"distinct AS links",
+                std::to_string(census.v4_links + census.v6_links - census.dual_links)});
+  entities.print(std::cout);
+  if (!census.inferred.top_voted_links.empty()) {
+    std::cout << "\nmost-voted links (community votes, both families):\n";
+    Table votes({"link", "votes"});
+    for (const auto& voted : census.inferred.top_voted_links) {
+      votes.row({link_name(voted.link), std::to_string(voted.votes)});
     }
     votes.print(std::cout);
   }
@@ -410,11 +404,14 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
 }
 
 int cmd_inspect(const std::string& mrt_path) {
-  // Streamed record-at-a-time decode: constant memory however large the dump.
-  // The sketch bundle keeps that property — fixed-size estimates instead of
-  // exact per-entity sets, which is the whole point of the telemetry layer.
+  // Streamed record-at-a-time decode: memory grows with the distinct ASes,
+  // prefixes, links and origins seen, never with the number of routes.
+  // Counted over every hop of every path, independently of the census.
   mrt::MrtStreamReader stream(mrt_path);
-  obs::sketch::IngestBundle sketches;
+  std::unordered_set<Asn> ases;
+  std::unordered_set<Prefix, PrefixHash> prefixes;
+  std::unordered_set<LinkKey, LinkKeyHash> links;
+  std::unordered_map<Asn, std::uint64_t> origin_routes;
   std::size_t pit = 0;
   std::size_t rib4 = 0;
   std::size_t rib6 = 0;
@@ -430,7 +427,13 @@ int cmd_inspect(const std::string& mrt_path) {
       (r->prefix.version() == IpVersion::V4 ? rib4 : rib6) += 1;
       entries += r->entries.size();
       for (const auto& entry : r->entries) {
-        sketches.add_route(r->prefix, entry.attrs.as_path.flatten());
+        prefixes.insert(r->prefix);
+        const auto path = entry.attrs.as_path.flatten();
+        ases.insert(path.begin(), path.end());
+        for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+          if (path[i] != path[i + 1]) links.emplace(path[i], path[i + 1]);
+        }
+        if (!path.empty()) ++origin_routes[path.back()];
       }
     } else if (std::holds_alternative<mrt::Bgp4mpMessage>(record.body)) {
       ++bgp4mp;
@@ -446,16 +449,20 @@ int cmd_inspect(const std::string& mrt_path) {
             << "  BGP4MP:           " << bgp4mp << "\n"
             << "  other/raw:        " << raw << "\n"
             << "  RIB entries:      " << entries << "\n"
-            << "  unique ASes:      ~" << sketches.ases.estimate_count() << "\n"
-            << "  unique prefixes:  ~" << sketches.prefixes.estimate_count() << "\n"
-            << "  unique AS links:  ~" << sketches.links.estimate_count() << "\n";
-  const auto top = sketches.origins.top();
-  if (!top.empty()) {
-    std::cout << "\ntop origin ASes by RIB routes (CMS estimates over "
-              << sketches.origins.total_weight() << " routes):\n";
-    Table t({"origin", "~routes"});
-    for (std::size_t i = 0; i < top.size() && i < 10; ++i) {
-      t.row({"AS" + std::to_string(top[i].item), std::to_string(top[i].estimate)});
+            << "  distinct ASes:      " << ases.size() << "\n"
+            << "  distinct prefixes:  " << prefixes.size() << "\n"
+            << "  distinct AS links:  " << links.size() << "\n";
+  if (!origin_routes.empty()) {
+    std::vector<std::pair<Asn, std::uint64_t>> top(origin_routes.begin(), origin_routes.end());
+    const std::size_t keep = std::min<std::size_t>(top.size(), 10);
+    std::partial_sort(top.begin(), top.begin() + static_cast<std::ptrdiff_t>(keep), top.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.second != b.second ? a.second > b.second : a.first < b.first;
+                      });
+    std::cout << "\ntop origin ASes by RIB routes:\n";
+    Table t({"origin", "routes"});
+    for (std::size_t i = 0; i < keep; ++i) {
+      t.row({"AS" + std::to_string(top[i].first), std::to_string(top[i].second)});
     }
     t.print(std::cout);
   }
@@ -468,10 +475,6 @@ snapshot::Snapshot load_snapshot(const std::string& path) {
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }
-}
-
-std::string link_name(const LinkKey& link) {
-  return "AS" + std::to_string(link.first) + "-AS" + std::to_string(link.second);
 }
 
 std::string describe(const snapshot::Snapshot& snap) {
@@ -613,10 +616,6 @@ void serve_signal(int sig) {
 }
 
 int cmd_serve(const std::string& snap_path, std::uint16_t port, std::size_t jobs) {
-  // Touch the sketch telemetry singleton so the htor_sketch_* gauges exist
-  // (as zeros) on a snapshot-serving daemon too — a scrape config sees the
-  // same series whether or not this process ever ingested a RIB.
-  (void)obs::sketch::Telemetry::global();
   server::DaemonConfig config;
   config.port = port;
   config.jobs = jobs;
@@ -680,8 +679,8 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
               << epoch.applied << ", routes " << census.rib().size() << ", v6 links "
               << r.v6_links << ", typed v6 "
               << r.v6_coverage.covered_links << ", dual " << r.dual_links << ", hybrids "
-              << r.hybrids.hybrids.size() << ", churn ~" << epoch.churn_ases << " AS/~"
-              << epoch.churn_prefixes << " pfx/~" << epoch.churn_links << " link\n";
+              << r.hybrids.hybrids.size() << ", churn " << epoch.churn_ases << " AS/"
+              << epoch.churn_prefixes << " pfx/" << epoch.churn_links << " link\n";
   });
 
   const auto& apply = census.rib().stats();

@@ -43,14 +43,6 @@ enforces them over ``src/`` and ``tools/``:
                     telemetry, and stay fine; a non-counter integral atomic
                     (e.g. a uniquifier that must survive registry resets)
                     documents itself with an allow comment.
-  raw-hash          a well-known hash constant (the splitmix64 increment or
-                    multipliers, the FNV-1a offset basis / prime in hex or
-                    decimal) outside obs/sketch/hash.hpp.  Hand-rolled hash
-                    functions silently fork the mixing the mergeable
-                    sketches depend on — two sketches built with different
-                    mixes merge without error and report garbage.  Hash an
-                    item through obs::sketch's splitmix64/hash64 (or the
-                    util/hash re-export) instead.
   pragma-once       every header starts its include guard with
                     ``#pragma once``.
   namespace         every file under src/ opens a ``namespace htor`` (or a
@@ -96,11 +88,6 @@ MMAP_HOME = re.compile(r"(^|/)src/(util/mmap_file|snapshot/layout[^/]*)\.(hpp|cp
 # not live in the registry, and the ring's occupancy is scraped through the
 # live pipeline's htor_live_ring_depth callback gauges instead.
 OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool|util/spsc_ring)\.(hpp|cpp)$")
-# The one home for the well-known hash constants: the sketch layer's mixing
-# primitives.  Everything else takes splitmix64/hash64 from here (or the
-# util/hash re-export) so every sketch in the process mixes identically.
-HASH_HOME = re.compile(r"(^|/)src/obs/sketch/hash\.(hpp|cpp)$")
-
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)\s*(.*)$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -140,10 +127,6 @@ def _not_mmap_home(path):
 
 def _not_obs_home(path):
     return not OBS_HOME.search(path)
-
-
-def _not_hash_home(path):
-    return not HASH_HOME.search(path)
 
 
 LINE_RULES = [
@@ -195,25 +178,6 @@ LINE_RULES = [
         "snapshot/layout*; go through the MmapFile RAII wrapper or justify "
         "with an allow comment",
         _not_mmap_home,
-    ),
-    (
-        "raw-hash",
-        # The splitmix64 increment/multipliers and the FNV-1a offset basis
-        # and prime, in hex or decimal: the fingerprints of a hand-rolled
-        # hash function.
-        # Lookarounds rather than \b so integer suffixes (ull) still match
-        # and longer literals that merely contain a constant do not.
-        re.compile(
-            r"0x9e3779b97f4a7c15|0xbf58476d1ce4e5b9|0x94d049bb133111eb|"
-            r"0xcbf29ce484222325|0x100000001b3(?![0-9a-f])|"
-            r"(?<![0-9a-z])1469598103934665603(?![0-9])|"
-            r"(?<![0-9a-z])1099511628211(?![0-9])",
-            re.IGNORECASE,
-        ),
-        "hand-rolled hash constant outside obs/sketch/hash.hpp; use "
-        "obs::sketch splitmix64/hash64 so every sketch mixes identically, "
-        "or justify with an allow comment",
-        _not_hash_home,
     ),
     (
         "adhoc-atomic-counter",
@@ -360,16 +324,6 @@ SELF_TEST_CASES = [
         {"adhoc-atomic-counter"},
     ),
     (
-        "hand-rolled hash outside the sketch home",
-        "src/core/bad_hash.cpp",
-        "namespace htor {\n"
-        "std::uint64_t mix(std::uint64_t x) {\n"
-        "  return (x + 0x9e3779b97f4a7c15ull) * 1099511628211ull;\n"
-        "}\n"
-        "}  // namespace htor\n",
-        {"raw-hash"},
-    ),
-    (
         "header without pragma once",
         "src/util/bad_header.hpp",
         "namespace htor {\nint x();\n}  // namespace htor\n",
@@ -440,25 +394,6 @@ SELF_TEST_CASES = [
         "src/util/spsc_ring.hpp",
         "#pragma once\nnamespace htor {\n"
         "struct R { std::atomic<std::uint64_t> tail_{0}; };\n"
-        "}  // namespace htor\n",
-        set(),
-    ),
-    (
-        "the sketch hash module is the one home for the constants",
-        "src/obs/sketch/hash.hpp",
-        "#pragma once\nnamespace htor::obs::sketch {\n"
-        "inline std::uint64_t splitmix64(std::uint64_t x) {\n"
-        "  x += 0x9e3779b97f4a7c15ull;\n"
-        "  return x * 0xbf58476d1ce4e5b9ull;\n"
-        "}\n"
-        "}  // namespace htor::obs::sketch\n",
-        set(),
-    ),
-    (
-        "a longer literal merely containing a hash constant stays quiet",
-        "src/core/good_number.cpp",
-        "namespace htor {\n"
-        "const std::uint64_t kId = 10995116282111ull;\n"
         "}  // namespace htor\n",
         set(),
     ),
