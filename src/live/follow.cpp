@@ -76,11 +76,13 @@ void FollowService::run_pipeline() {
     });
     std::lock_guard<std::mutex> lock(mutex_);
     result_ = result;
-    finished_ = true;
   } catch (...) {
+    // The daemon keeps serving the last good epoch; the result still says
+    // how far the feed got before it failed.
     std::lock_guard<std::mutex> lock(mutex_);
     pipeline_error_ = std::current_exception();
-    finished_ = true;
+    result_.applied = census_.applied();
+    result_.epochs = epochs_published_;
   }
 }
 

@@ -67,6 +67,8 @@ class FollowService {
   const IncrementalCensus& census() const { return census_; }
 
   std::uint64_t epochs_published() const;
+  /// The pipeline's result once it has finished.  After a failed feed only
+  /// `applied` and `epochs` are set: how far the stream got.
   PipelineResult result() const;
 
  private:
@@ -89,7 +91,6 @@ class FollowService {
   std::uint64_t epochs_published_ = 0;
   PipelineResult result_;
   std::exception_ptr pipeline_error_;
-  bool finished_ = false;
   /// When the currently-served epoch was swapped in (epoch 0 = construction).
   std::chrono::steady_clock::time_point last_publish_ = std::chrono::steady_clock::now();
 

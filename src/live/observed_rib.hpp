@@ -41,10 +41,9 @@ struct RouteKey {
   friend auto operator<=>(const RouteKey&, const RouteKey&) = default;
 };
 
-/// What one apply() did, expressed as route-level deltas so an incremental
-/// census can retract exactly the state the old routes contributed and add
-/// the new routes' contribution.  A replaced route appears in both lists
-/// (old value in `removed`, new value in `added`).
+/// What one apply() did, expressed as route-level deltas: the routes that
+/// left the table and the routes that entered it.  A replaced route appears
+/// in both lists (old value in `removed`, new value in `added`).
 struct ApplyDelta {
   std::vector<mrt::ObservedRoute> added;
   std::vector<mrt::ObservedRoute> removed;
@@ -84,12 +83,6 @@ class ObservedRib {
   /// (family, prefix, peer) order — identical for any apply history that
   /// reaches the same route set.
   mrt::ObservedRib materialize() const;
-
-  /// Visit every held route in canonical key order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, route] : routes_) fn(route);
-  }
 
  private:
   void insert(mrt::ObservedRoute route, ApplyDelta& delta);

@@ -21,9 +21,9 @@ struct DecodedUpdate {
   mrt::Bgp4mpMessage msg;
 };
 
-/// Stage backoff while a ring is full/empty: yield first (the common case on
-/// the 1-CPU container is simply that the counterpart stage hasn't been
-/// scheduled), then sleep so a long stall doesn't burn the core.
+/// Stage backoff while a ring is full/empty: yield first (when the stages
+/// outnumber free cores, the counterpart stage usually just hasn't been
+/// scheduled yet), then sleep so a long stall doesn't burn a core.
 void backoff(int& spins) {
   if (spins < 256) {
     ++spins;

@@ -27,6 +27,10 @@
 #      query daemon serves; byte-level identity is proven by
 #      test_server_e2e), in pair, neighbor, and not-found modes; --json on
 #      another subcommand is rejected.
+#  10. `follow` over a generated update stream (`generate --update-events`)
+#      — exit 0, one line per cut epoch and the closing `stream done:`
+#      summary; the same command on a clipped updates file exits non-zero
+#      with the decode error on stderr (skipped without /bin/sh, as in 5).
 #
 # Invoked as:
 #   cmake -DHYBRIDTOR=<path> -DWORK_DIR=<dir> -P cli_e2e.cmake
@@ -373,6 +377,55 @@ endif()
 string(FIND "${err}" "--json is only valid with the query subcommand" at)
 if(at EQUAL -1)
   message(FATAL_ERROR "diff --json diagnostic is wrong: ${err}")
+endif()
+
+# ---------------------------------------------------------------- 10. follow
+set(DATA_DIR3 "${WORK_DIR}/data3")
+execute_process(COMMAND "${HYBRIDTOR}" generate --update-events 2000 "${DATA_DIR3}" 7
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT EXISTS "${DATA_DIR3}/updates.mrt")
+  message(FATAL_ERROR "generate --update-events failed (rc=${rc}): ${out}${err}")
+endif()
+execute_process(COMMAND "${HYBRIDTOR}" follow --epoch-every 500 "${DATA_DIR3}/rib.mrt"
+                        "${DATA_DIR3}/irr.txt" "${DATA_DIR3}/updates.mrt"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE follow_out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "follow failed (rc=${rc}): ${err}")
+endif()
+if(NOT follow_out MATCHES "\nepoch 1 @[0-9]+: applied 500," OR
+   NOT follow_out MATCHES "\nepoch 4 @[0-9]+: applied 2000,")
+  message(FATAL_ERROR "follow is missing its per-epoch lines:\n${follow_out}")
+endif()
+string(FIND "${follow_out}" "stream done:" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "follow is missing the 'stream done:' summary:\n${follow_out}")
+endif()
+string(FIND "${follow_out}" "valley telemetry" at)
+if(NOT at EQUAL -1)
+  message(FATAL_ERROR "follow still prints the removed valley telemetry line:\n${follow_out}")
+endif()
+if(SH_PROGRAM)
+  set(UPDATES_TRUNC "${DATA_DIR3}/updates_truncated.mrt")
+  file(SIZE "${DATA_DIR3}/updates.mrt" updates_size)
+  math(EXPR cut "${updates_size} - 7")
+  execute_process(COMMAND "${SH_PROGRAM}" -c
+                          "head -c ${cut} '${DATA_DIR3}/updates.mrt' > '${UPDATES_TRUNC}'"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "could not produce truncated updates.mrt")
+  endif()
+  execute_process(COMMAND "${HYBRIDTOR}" follow --epoch-every 500 "${DATA_DIR3}/rib.mrt"
+                          "${DATA_DIR3}/irr.txt" "${UPDATES_TRUNC}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "follow on a truncated updates file must fail:\n${out}")
+  endif()
+  string(FIND "${err}" "decode error" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "follow on a truncated updates file gave no decode error: ${err}")
+  endif()
+else()
+  message(STATUS "cli_e2e: no sh found, skipping truncated-updates check")
 endif()
 
 message(STATUS "cli_e2e: all checks passed")

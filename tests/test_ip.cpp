@@ -1,8 +1,9 @@
-// Unit tests for IP address parsing/formatting, including the RFC 5952
-// canonical text form for IPv6.
+// Unit tests for IP address and prefix parsing/formatting, including the
+// RFC 5952 canonical text form for IPv6.
 #include <gtest/gtest.h>
 
 #include "netbase/ip.hpp"
+#include "netbase/prefix.hpp"
 
 namespace htor {
 namespace {
@@ -116,6 +117,44 @@ TEST(IpAddress, RawByteConstructor) {
   const std::uint8_t raw4[4] = {192, 0, 2, 1};
   EXPECT_EQ(IpAddress(IpVersion::V4, raw4).to_string(), "192.0.2.1");
   EXPECT_THROW(IpAddress(IpVersion::V6, raw4), InvalidArgument);
+}
+
+TEST(Prefix, ParseAndCanonicalize) {
+  const auto p = Prefix::parse("192.0.2.129/25");
+  EXPECT_EQ(p.to_string(), "192.0.2.128/25");  // host bits cleared
+  EXPECT_EQ(p.length(), 25);
+  const auto p6 = Prefix::parse("2001:db8:1234:ffff::/48");
+  EXPECT_EQ(p6.to_string(), "2001:db8:1234::/48");
+}
+
+TEST(Prefix, ParseErrors) {
+  Prefix out;
+  EXPECT_FALSE(Prefix::try_parse("192.0.2.0", out));      // no length
+  EXPECT_FALSE(Prefix::try_parse("192.0.2.0/33", out));   // too long
+  EXPECT_FALSE(Prefix::try_parse("2001:db8::/129", out));
+  EXPECT_FALSE(Prefix::try_parse("x/8", out));
+  EXPECT_THROW(Prefix::parse("192.0.2.0/"), ParseError);
+}
+
+TEST(Prefix, ContainsAddress) {
+  const auto p = Prefix::parse("10.1.0.0/16");
+  EXPECT_TRUE(p.contains(IpAddress::parse("10.1.2.3")));
+  EXPECT_FALSE(p.contains(IpAddress::parse("10.2.0.0")));
+  EXPECT_FALSE(p.contains(IpAddress::parse("2001:db8::1")));  // family mismatch
+}
+
+TEST(Prefix, ContainsPrefix) {
+  const auto p = Prefix::parse("10.0.0.0/8");
+  EXPECT_TRUE(p.contains(Prefix::parse("10.1.0.0/16")));
+  EXPECT_TRUE(p.contains(p));
+  EXPECT_FALSE(p.contains(Prefix::parse("0.0.0.0/0")));  // less specific
+  EXPECT_FALSE(p.contains(Prefix::parse("11.0.0.0/16")));
+}
+
+TEST(Prefix, DefaultRouteContainsEverything) {
+  const Prefix def;  // 0.0.0.0/0
+  EXPECT_TRUE(def.contains(IpAddress::parse("255.255.255.255")));
+  EXPECT_TRUE(def.contains(Prefix::parse("192.0.2.0/24")));
 }
 
 }  // namespace

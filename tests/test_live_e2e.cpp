@@ -34,6 +34,8 @@
 #include "obs/metrics.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/query.hpp"
+#include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace htor::live {
 namespace {
@@ -198,13 +200,13 @@ TEST(LiveFollowE2E, ServesQueriesWhileStreamingAndAdvancesEpochs) {
   const LiveFiles& f = files();
   FollowService service(f.rib, f.irr, {f.updates}, follow_config(100));
 
-  // A link the seed census types, so /v1/link answers 200 from epoch 1 on.
-  LinkKey probe(0, 0);
-  service.census().live_rels(IpVersion::V4).for_each(
-      [&](const LinkKey& key, Relationship) {
-        if (probe.first == 0) probe = key;
-      });
-  ASSERT_NE(probe.first, probe.second);
+  // The most-voted link of the seed census, so /v1/link answers 200 from
+  // epoch 1 on.
+  ThreadPool pool(1);
+  const auto epoch0 = service.census().recompute(pool);
+  ASSERT_FALSE(epoch0.report.inferred.top_voted_links.empty());
+  const LinkKey probe = epoch0.report.inferred.top_voted_links.front().link;
+  ASSERT_TRUE(snapshot::QueryIndex(epoch0.snap).lookup(probe.first, probe.second));
 
   service.start();
   ASSERT_NE(service.port(), 0);
@@ -299,6 +301,39 @@ TEST(LiveFollowE2E, ServedGaugesEqualAFreshCensusAfterEpochs) {
   EXPECT_EQ(prom_value(metrics.body, "htor_served_links"), fresh.link_count());
   EXPECT_EQ(prom_value(metrics.body, "htor_served_ases"), fresh.as_count());
   EXPECT_EQ(prom_value(metrics.body, "htor_served_hybrid_links"), fresh.hybrid_count());
+  service.stop();
+}
+
+// A feed that fails mid-stream reports itself: wait() rethrows the decode
+// error, result() says how far the stream got, and the daemon keeps
+// serving the last good epoch.
+TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
+  obs::MetricsRegistry::global().reset_values();
+  const LiveFiles& f = files();
+  const std::string truncated = f.dir + "/updates_truncated.mrt";
+  std::filesystem::copy_file(f.updates, truncated,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(truncated, std::filesystem::file_size(f.updates) - 7);
+
+  FollowConfig config = follow_config(100);
+  config.pipeline.ring_capacity = 2;  // the reader cannot run far ahead of apply
+  FollowService service(f.rib, f.irr, {truncated}, config);
+  service.start();
+  EXPECT_THROW(service.wait(), DecodeError);
+
+  const auto result = service.result();
+  EXPECT_GT(result.applied, 0u);
+  EXPECT_EQ(result.applied, service.census().applied());
+  EXPECT_GE(service.epochs_published(), 1u);
+  EXPECT_EQ(result.epochs, service.epochs_published());
+  EXPECT_EQ(service.daemon().epoch(), 1 + service.epochs_published());
+
+  const auto health = fetch(service.port(), "GET", "/v1/healthz");
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.status, 200);
+  EXPECT_NE(health.body.find("\"epoch\":" + std::to_string(service.daemon().epoch())),
+            std::string::npos)
+      << health.body;
   service.stop();
 }
 

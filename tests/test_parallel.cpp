@@ -16,12 +16,15 @@
 #include "core/census_report.hpp"
 #include "core/parallel.hpp"
 #include "core/pipeline.hpp"
+#include "core/snapshot_bridge.hpp"
 #include "core/valley_census.hpp"
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
+#include "snapshot/writer.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace htor {
@@ -307,6 +310,28 @@ TEST_F(ParallelFixture, FullCensusMatchesAcrossJobCounts) {
       EXPECT_EQ(report.hybrids.hybrids[i].link, base.hybrids.hybrids[i].link);
       EXPECT_EQ(report.hybrids.hybrids[i].rel_v4, base.hybrids.hybrids[i].rel_v4);
       EXPECT_EQ(report.hybrids.hybrids[i].rel_v6, base.hybrids.hybrids[i].rel_v6);
+    }
+  }
+}
+
+// The census is a function of the route set, not of route order: a
+// shuffled RIB gives the same snapshot bytes at any job count.  This is
+// what lets the live census materialize its table in key order and still
+// equal a census over the dump in file order.
+TEST_F(ParallelFixture, ShuffledRibGivesTheSameSnapshotBytes) {
+  const auto snapshot_bytes = [](const mrt::ObservedRib& rib, std::size_t jobs) {
+    ThreadPool pool(jobs);
+    const auto report = core::run_census(rib, dict(), {}, pool);
+    return snapshot::Writer::encode(core::to_snapshot(report, "order", 0));
+  };
+  const auto base = snapshot_bytes(rib(), 1);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::vector<mrt::ObservedRoute> routes = rib().routes();
+    Rng(seed).shuffle(routes);
+    mrt::ObservedRib shuffled;
+    for (auto& route : routes) shuffled.add(std::move(route));
+    for (const std::size_t jobs : {1u, 4u}) {
+      EXPECT_EQ(snapshot_bytes(shuffled, jobs), base) << "seed " << seed << ", jobs " << jobs;
     }
   }
 }

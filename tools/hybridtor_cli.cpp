@@ -684,17 +684,13 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
   });
 
   const auto& apply = census.rib().stats();
-  const auto& stats = census.stats();
   std::cout << "\nstream done: " << result.records << " BGP4MP records ("
             << result.skipped << " non-update frames skipped), " << result.applied
             << " applied, " << result.epochs << " epochs\n"
             << "apply mix: " << apply.announced << " new, " << apply.replaced << " replaced, "
             << apply.duplicates << " duplicate announces; " << apply.withdrawn
             << " withdrawn (" << apply.withdrawn_missing << " for unknown routes); "
-            << apply.non_updates << " non-UPDATE messages\n"
-            << "valley telemetry over announced paths: " << stats.valley_free_seen
-            << " valley-free, " << stats.valleys_seen << " valleys, " << stats.incomplete_seen
-            << " incomplete\n";
+            << apply.non_updates << " non-UPDATE messages\n";
   return 0;
 }
 
@@ -737,6 +733,7 @@ int cmd_serve_follow(const std::string& rib_path, const std::string& irr_path,
   const auto result = service.result();
   std::cout << "applied " << result.applied << " updates, published "
             << service.epochs_published() << " epochs\n";
+  service.wait();  // rethrows a failed feed; main reports it and exits 1
   return 0;
 }
 
