@@ -133,6 +133,23 @@ void BM_InferRelationships(benchmark::State& state) {
 }
 BENCHMARK(BM_InferRelationships)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
+// The path table of both families, as the census builds it: routes staged
+// by hash partition, one table build per partition, the parts joined, and
+// the sorted link list.  Arg is the job count.
+void BM_PathsOf(benchmark::State& state) {
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const auto v4 = core::paths_of(bits().rib, IpVersion::V4, pool);
+    const auto v6 = core::paths_of(bits().rib, IpVersion::V6, pool);
+    auto links = v4.links();
+    benchmark::DoNotOptimize(links);
+    links = v6.links();
+    benchmark::DoNotOptimize(links);
+  }
+  state.counters["jobs"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_PathsOf)->Arg(1)->Arg(4)->UseRealTime();
+
 // Full census (path stores, inference, hybrids, valley census) across job
 // counts; reports are byte-identical, only wall time changes.
 void BM_RunCensus(benchmark::State& state) {

@@ -6,6 +6,7 @@
 // Usage:  valley_explorer [count]      (default: show 10 valley paths)
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <unordered_set>
 
 #include "core/pipeline.hpp"
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
 
   std::size_t shown = 0;
   std::size_t necessary_shown = 0;
-  v6_paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
+  v6_paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
     if (shown >= show) return;
     const auto check = check_valley_free(path, truth);
     if (check.cls != PathPolicyClass::Valley) return;

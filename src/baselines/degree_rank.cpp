@@ -1,5 +1,6 @@
 #include "baselines/degree_rank.hpp"
 
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,7 +11,7 @@ DegreeRankResult infer_degree_rank(const PathStore& paths, const DegreeRankParam
   // seen forwarding between.
   std::unordered_map<Asn, std::unordered_set<Asn>> transit_neighbors;
   std::unordered_map<Asn, std::unordered_set<Asn>> plain_neighbors;
-  paths.for_each([&](const std::vector<Asn>& raw, std::uint64_t) {
+  paths.for_each([&](std::span<const Asn> raw, std::uint64_t) {
     std::vector<Asn> path;
     for (Asn a : raw) {
       if (path.empty() || path.back() != a) path.push_back(a);

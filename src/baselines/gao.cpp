@@ -1,5 +1,6 @@
 #include "baselines/gao.hpp"
 
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,7 +20,7 @@ struct PairHash {
 GaoResult infer_gao(const PathStore& paths, const GaoParams& params) {
   // Phase 1: degrees from the observed paths.
   std::unordered_map<Asn, std::unordered_set<Asn>> neighbors;
-  paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
+  paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       if (path[i] == path[i + 1]) continue;
       neighbors[path[i]].insert(path[i + 1]);
@@ -37,7 +38,7 @@ GaoResult infer_gao(const PathStore& paths, const GaoParams& params) {
   // (Gao's refined algorithm) and casts no transit vote — otherwise every
   // peering link would be stamped transit by the paths that cross it.
   std::unordered_map<std::pair<Asn, Asn>, std::uint64_t, PairHash> transit;
-  paths.for_each([&](const std::vector<Asn>& raw, std::uint64_t) {
+  paths.for_each([&](std::span<const Asn> raw, std::uint64_t) {
     std::vector<Asn> path;
     for (Asn a : raw) {
       if (path.empty() || path.back() != a) path.push_back(a);

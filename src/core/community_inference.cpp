@@ -1,18 +1,15 @@
 #include "core/community_inference.hpp"
 
-#include <unordered_map>
-
 namespace htor::core {
 
 namespace {
 
-std::vector<Asn> collapse(const std::vector<Asn>& path) {
-  std::vector<Asn> out;
-  out.reserve(path.size());
+/// Write `path` with prepending collapsed into `out`, reusing its capacity.
+void collapse(const std::vector<Asn>& path, std::vector<Asn>& out) {
+  out.clear();
   for (Asn a : path) {
     if (out.empty() || out.back() != a) out.push_back(a);
   }
-  return out;
 }
 
 std::size_t rel_index(Relationship rel) {
@@ -36,8 +33,23 @@ Relationship rel_from_index(std::size_t i) {
   }
 }
 
-/// Sentinel for an ASN that occurs more than once on a collapsed path.
-constexpr std::size_t kAmbiguousPosition = static_cast<std::size_t>(-1);
+/// Returned by sole_position when the ASN is absent or occurs twice.
+constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+
+/// Where `asn` sits on `chain` if it sits there exactly once.  An ASN that
+/// appears twice post-collapse means a looped or poisoned path: a tag from
+/// that AS cannot be localized to one link, so it counts as no position
+/// rather than its first occurrence.  Chains are a few hops long, so a
+/// linear scan beats any index.
+std::size_t sole_position(const std::vector<Asn>& chain, Asn asn) {
+  std::size_t found = kNoPosition;
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    if (chain[i] != asn) continue;
+    if (found != kNoPosition) return kNoPosition;
+    found = i;
+  }
+  return found;
+}
 
 }  // namespace
 
@@ -54,20 +66,11 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
                                     std::size_t begin, std::size_t end,
                                     const rpsl::CommunityDictionary& dict) {
   CommunityVotes out;
-  std::unordered_map<Asn, std::size_t> position;  // reused per route
+  std::vector<Asn> chain;  // reused across routes
   for (std::size_t r = begin; r < end && r < routes.size(); ++r) {
     const mrt::ObservedRoute* route = routes[r];
-    const std::vector<Asn> chain = collapse(route->as_path);
+    collapse(route->as_path, chain);
     if (chain.size() < 2) continue;
-
-    position.clear();
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      // An ASN appearing twice post-collapse means a looped/poisoned path:
-      // a tag from that AS cannot be localized to one link, so mark it
-      // ambiguous instead of silently keeping the first occurrence.
-      auto [it, inserted] = position.emplace(chain[i], i);
-      if (!inserted) it->second = kAmbiguousPosition;
-    }
 
     bool contributed = false;
     for (bgp::Community community : route->communities) {
@@ -76,13 +79,10 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
 
       // Localize: the tagging AS must sit on this path exactly once, with a
       // next hop toward the origin.
-      auto it = position.find(community.asn());
-      if (it == position.end() || it->second == kAmbiguousPosition ||
-          it->second + 1 >= chain.size()) {
-        continue;
-      }
-      const Asn tagger = chain[it->second];
-      const Asn from = chain[it->second + 1];
+      const std::size_t at = sole_position(chain, community.asn());
+      if (at == kNoPosition || at + 1 >= chain.size()) continue;
+      const Asn tagger = chain[at];
+      const Asn from = chain[at + 1];
 
       const Relationship rel = rpsl::relationship_of(meaning->kind);  // rel(tagger, from)
       const LinkKey key(tagger, from);

@@ -1,6 +1,7 @@
 #include "core/hybrid.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 namespace htor::core {
@@ -73,7 +74,7 @@ HybridReport detect_hybrids(const std::vector<LinkKey>& dual_links, const Relati
             });
 
   report.v6_paths_total = v6_paths.unique_paths();
-  v6_paths.for_each([&](const std::vector<Asn>& path, std::uint64_t) {
+  v6_paths.for_each([&](std::span<const Asn> path, std::uint64_t) {
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
       if (path[i] == path[i + 1]) continue;
       if (hybrid_set.count(LinkKey(path[i], path[i + 1]))) {

@@ -6,9 +6,16 @@
 // boundaries and the merge sequence never depend on how many workers ran,
 // `--jobs 1` and `--jobs 8` produce byte-identical results; the thread count
 // only changes how many shards are in flight at once.
+//
+// Keyed outputs (distinct paths) reduce by partition instead of through one
+// serial fold: partitioned_map_reduce splits every shard's keys into
+// kCensusShards partitions by hash, and each partition folds as its own
+// pool task.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <future>
 #include <utility>
 #include <vector>
@@ -19,8 +26,15 @@ namespace htor::core {
 
 /// Default shard count for the census hot paths.  Comfortably above any
 /// realistic --jobs value so every worker stays busy, small enough that
-/// per-shard state (vote maps, path stores) stays cheap to merge.
+/// per-shard state (vote maps, staged path batches) stays cheap to merge.
 inline constexpr std::size_t kCensusShards = 32;
+static_assert(std::has_single_bit(kCensusShards), "partition_of takes the top hash bits");
+
+/// The partition, in [0, kCensusShards), of a key with 64-bit hash `hash`:
+/// its top bits, which leaves the low bits to the partition's own index.
+inline std::size_t partition_of(std::uint64_t hash) {
+  return static_cast<std::size_t>(hash >> (64 - (std::bit_width(kCensusShards) - 1)));
+}
 
 struct ShardRange {
   std::size_t begin = 0;
@@ -84,6 +98,28 @@ Acc shard_map_reduce(ThreadPool& pool, std::size_t n, Map map, Acc init, Reduce 
   auto results = shard_map(pool, n, std::move(map), shards);
   for (auto& result : results) reduce(init, std::move(result));
   return init;
+}
+
+/// Map-reduce for keyed outputs.  `map` turns each fixed shard of [0, n)
+/// into a std::vector of exactly kCensusShards buckets, bucket p holding the
+/// shard's keys with partition_of(hash) == p.  Partition p then calls
+/// `fold` on bucket p of shards 0, 1, ... (a const vector in shard order)
+/// as its own pool task.  A key never leaves its partition, so the folds share no
+/// state, and the results — returned in partition order — are the same for
+/// every pool size.
+template <typename Map, typename Fold>
+auto partitioned_map_reduce(ThreadPool& pool, std::size_t n, Map map, Fold fold) {
+  using Buckets = std::invoke_result_t<Map, ShardRange>;
+  std::vector<Buckets> shards = shard_map(pool, n, std::move(map));
+  return shard_map(
+      pool, kCensusShards,
+      [&shards, fold](const ShardRange& partition) {
+        Buckets column;
+        column.reserve(shards.size());
+        for (Buckets& shard : shards) column.push_back(std::move(shard.at(partition.index)));
+        return fold(std::as_const(column));
+      },
+      kCensusShards);
 }
 
 }  // namespace htor::core

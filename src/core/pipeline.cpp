@@ -131,16 +131,23 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
 
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool) {
   const auto& routes = rib.routes();
-  return shard_map_reduce(
+  return PathStore(partitioned_map_reduce(
       pool, routes.size(),
       [&routes, af](const ShardRange& range) {
-        PathStore shard;
+        std::vector<PathStore::Batch> batches(kCensusShards);
         for (std::size_t i = range.begin; i < range.end; ++i) {
-          if (routes[i].af == af) shard.add(routes[i].as_path);
+          const std::vector<Asn>& path = routes[i].as_path;
+          if (routes[i].af != af || !PathStore::storable(path)) continue;
+          const std::uint64_t hash = PathStore::hash(path);
+          batches[partition_of(hash)].push(path, hash);
         }
-        return shard;
+        return batches;
       },
-      PathStore{}, [](PathStore& acc, PathStore&& shard) { acc.merge(shard); });
+      [](const std::vector<PathStore::Batch>& column) {
+        PathStore part;
+        part.add_batches(column);
+        return part;
+      }));
 }
 
 CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap& rels) {

@@ -67,9 +67,10 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);
 
-/// Distinct AS paths of one family, as a PathStore.  Per-route extraction
-/// runs on `pool`; shards merge in shard order (deterministic for any pool
-/// size).
+/// Distinct AS paths of one family, as a PathStore.  The route shards stage
+/// their paths by hash partition on `pool`, each partition builds its part
+/// of the table as one pool task, and the parts join in partition order
+/// (the same table for any pool size).
 PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool);
 
 /// How many of `links` the map can type.

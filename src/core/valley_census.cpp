@@ -1,5 +1,6 @@
 #include "core/valley_census.hpp"
 
+#include <span>
 #include <unordered_map>
 
 #include "core/parallel.hpp"
@@ -65,11 +66,11 @@ struct CensusShard {
   std::vector<std::pair<Asn, Asn>> necessity_candidates;
 };
 
-CensusShard classify_paths(const std::vector<const std::vector<Asn>*>& paths,
-                           std::size_t begin, std::size_t end, const RelationshipMap& rels) {
+CensusShard classify_paths(const std::vector<std::span<const Asn>>& paths, std::size_t begin,
+                           std::size_t end, const RelationshipMap& rels) {
   CensusShard shard;
   for (std::size_t i = begin; i < end; ++i) {
-    const std::vector<Asn>& path = *paths[i];
+    const std::span<const Asn> path = paths[i];
     ++shard.counters.paths;
     const ValleyCheckResult check = check_valley_free(path, rels);
     switch (check.cls) {
@@ -100,10 +101,10 @@ bool valley_is_necessary(Asn src, Asn dst, const RelationshipMap& rels) {
 ValleyCensus census_valleys(const PathStore& paths, const RelationshipMap& rels,
                             ThreadPool& pool) {
   // Snapshot the distinct paths so shards can index them.
-  std::vector<const std::vector<Asn>*> snapshot;
+  std::vector<std::span<const Asn>> snapshot;
   snapshot.reserve(paths.unique_paths());
-  paths.for_each([&snapshot](const std::vector<Asn>& path, std::uint64_t) {
-    snapshot.push_back(&path);
+  paths.for_each([&snapshot](std::span<const Asn> path, std::uint64_t) {
+    snapshot.push_back(path);
   });
 
   CensusShard merged = shard_map_reduce(

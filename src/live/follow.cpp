@@ -31,6 +31,17 @@ IncrementalCensus build_census(const std::string& rib_path, ThreadPool& pool,
   return IncrementalCensus(core::load_rib(rib_path, pool), dict, inference, rib_path);
 }
 
+/// The message a failure carries, for the degraded /v1/healthz body.
+std::string what_of(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown error";
+  }
+}
+
 }  // namespace
 
 FollowService::FollowService(const std::string& rib_path, const std::string& irr_path,
@@ -77,10 +88,12 @@ void FollowService::run_pipeline() {
     std::lock_guard<std::mutex> lock(mutex_);
     result_ = result;
   } catch (...) {
-    // The daemon keeps serving the last good epoch; the result still says
-    // how far the feed got before it failed.
+    // The daemon keeps serving the last good epoch but reports itself
+    // degraded; the result still says how far the feed got before it failed.
+    std::exception_ptr error = std::current_exception();
+    daemon_.set_degraded(what_of(error));
     std::lock_guard<std::mutex> lock(mutex_);
-    pipeline_error_ = std::current_exception();
+    pipeline_error_ = std::move(error);
     result_.applied = census_.applied();
     result_.epochs = epochs_published_;
   }

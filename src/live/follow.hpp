@@ -13,7 +13,9 @@
 // `epoch_every` applied updates (htor_live_staleness_updates gauges the
 // current lag; htor_daemon_epoch ticks on every publish).  When the stream
 // is exhausted the last epoch has zero staleness and the daemon keeps
-// serving it until stop().
+// serving it until stop().  When the feed fails instead, the daemon keeps
+// serving the last epoch and /v1/healthz answers 503 "degraded" with the
+// error, so a frozen epoch never looks healthy.
 #pragma once
 
 #include <chrono>

@@ -146,6 +146,11 @@ std::string QueryDaemon::last_reload_error() const {
   return last_reload_error_;
 }
 
+void QueryDaemon::set_degraded(std::string error) {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  degraded_error_ = std::move(error);
+}
+
 void QueryDaemon::start() {
   if (running_.load()) return;
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -362,12 +367,18 @@ HttpResponse QueryDaemon::route(const HttpRequest& request, std::size_t& endpoin
   if (path == "/v1/healthz") {
     endpoint = kHealthz;
     if (!is_get) return method_not_allowed("GET");
+    std::optional<std::string> degraded;
+    {
+      std::lock_guard<std::mutex> lock(state_mutex_);
+      degraded = degraded_error_;
+    }
     JsonWriter json;
     json.begin_object();
-    json.key("status").value("ok");
+    json.key("status").value(degraded ? "degraded" : "ok");
     json.key("epoch").value(epoch());
+    if (degraded) json.key("error").value(*degraded);
     json.end_object();
-    return json_response(200, json.str() + "\n");
+    return json_response(degraded ? 503 : 200, json.str() + "\n");
   }
 
   if (path == "/v1/summary") {

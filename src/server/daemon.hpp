@@ -33,7 +33,9 @@
 //   GET  /v1/link/<a>/<b>    oriented rel_v4 / rel_v6 / hybrid for one link
 //   GET  /v1/neighbors/<asn> full neighbor list with both planes
 //   GET  /v1/summary         dataset / coverage / valley / hybrid counters
-//   GET  /v1/healthz         liveness + current epoch
+//   GET  /v1/healthz         liveness + current epoch; 503 "degraded" with
+//                            the error once the feed behind the served
+//                            epochs has failed (set_degraded)
 //   GET  /v1/metrics         the daemon's own series as JSON: epoch and
 //                            snapshot identity, request/status counts,
 //                            latency histogram, reload outcomes
@@ -66,6 +68,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,6 +136,12 @@ class QueryDaemon {
   std::uint64_t epoch() const;
   std::string last_reload_error() const;
 
+  /// Mark the served epochs as frozen by a failure upstream (serve
+  /// --follow's feed ended in `error`): the daemon keeps answering from the
+  /// last epoch, and /v1/healthz answers 503 {"status":"degraded"} with the
+  /// error.  Stays set until the daemon is destroyed.
+  void set_degraded(std::string error);
+
   /// Route one parsed request to a response.  Public so tests and the
   /// loopback bench can exercise routing without a socket.
   HttpResponse handle(const HttpRequest& request);
@@ -175,6 +184,7 @@ class QueryDaemon {
   mutable std::mutex state_mutex_;
   std::shared_ptr<const ServingState> state_;
   std::string last_reload_error_;
+  std::optional<std::string> degraded_error_;  ///< set_degraded()'s error
   std::mutex reload_mutex_;  ///< serializes concurrent reload() calls
 
   ThreadPool pool_;

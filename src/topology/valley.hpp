@@ -7,9 +7,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "netbase/asn.hpp"
 #include "topology/relationship.hpp"
@@ -32,18 +31,13 @@ struct ValleyCheckResult {
   std::size_t unknown_links = 0;
 };
 
-/// Relationship oracle: rel(a, b) as defined in relationship.hpp.
-using RelationshipFn = std::function<Relationship(Asn, Asn)>;
-
-/// Classify `path` (adjacent duplicate ASNs — prepending — are ignored).
-ValleyCheckResult check_valley_free(const std::vector<Asn>& path, const RelationshipFn& rel);
-
-/// Convenience overload using a RelationshipMap.
-ValleyCheckResult check_valley_free(const std::vector<Asn>& path, const RelationshipMap& rels);
+/// Classify `path` under `rels` (adjacent duplicate ASNs — prepending —
+/// are ignored).
+ValleyCheckResult check_valley_free(std::span<const Asn> path, const RelationshipMap& rels);
 
 /// True when the check yields ValleyFree (Incomplete counts as not
 /// valley-free only if `strict`).
-bool is_valley_free(const std::vector<Asn>& path, const RelationshipMap& rels,
+bool is_valley_free(std::span<const Asn> path, const RelationshipMap& rels,
                     bool strict = false);
 
 }  // namespace htor

@@ -28,12 +28,14 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/hybrid.hpp"
 #include "core/parallel.hpp"
+#include "core/pipeline.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "live/follow.hpp"
@@ -611,6 +613,49 @@ TEST(LivePipelineStress, FollowEpochSwapsRaceDirectHandleStorm) {
 }
 
 // --------------------------------------------------- thread pool / parallel
+
+// Readers share one built path table without a lock: four threads list its
+// links, look up every link's path count and walk its paths at once, from
+// the first read on, and each sees what a separately built table holds.
+TEST(PathStoreStress, ConcurrentReadersOfOneTable) {
+  mrt::ObservedRib rib;
+  for (Asn i = 0; i < 3000; ++i) {
+    mrt::ObservedRoute route;
+    route.as_path = {1 + i % 7, 100 + i % 13, 100 + i % 13, 1000 + i % 101};
+    rib.add(std::move(route));
+  }
+  ThreadPool pool(4);
+  const PathStore reference = core::paths_of(rib, IpVersion::V4, pool);
+  const std::vector<LinkKey> links = reference.links();
+  std::uint64_t link_paths = 0;
+  for (const LinkKey& link : links) link_paths += reference.paths_containing(link.first, link.second);
+  ASSERT_GT(link_paths, 0u);
+
+  const PathStore table = core::paths_of(rib, IpVersion::V4, pool);
+  std::atomic<bool> go{false};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < 20; ++round) {
+        std::uint64_t counted = 0;
+        for (const LinkKey& link : links) counted += table.paths_containing(link.first, link.second);
+        std::uint64_t occurrences = 0;
+        table.for_each([&occurrences](std::span<const Asn>, std::uint64_t count) {
+          occurrences += count;
+        });
+        if (table.links() != links || counted != link_paths ||
+            occurrences != reference.total_occurrences()) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
 
 // Overlapping shard_map calls on one shared pool, from multiple threads at
 // once — the census pipeline does exactly this when both address families

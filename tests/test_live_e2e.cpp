@@ -306,7 +306,8 @@ TEST(LiveFollowE2E, ServedGaugesEqualAFreshCensusAfterEpochs) {
 
 // A feed that fails mid-stream reports itself: wait() rethrows the decode
 // error, result() says how far the stream got, and the daemon keeps
-// serving the last good epoch.
+// serving the last good epoch while /v1/healthz answers 503 "degraded"
+// with that error.
 TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   obs::MetricsRegistry::global().reset_values();
   const LiveFiles& f = files();
@@ -319,7 +320,13 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   config.pipeline.ring_capacity = 2;  // the reader cannot run far ahead of apply
   FollowService service(f.rib, f.irr, {truncated}, config);
   service.start();
-  EXPECT_THROW(service.wait(), DecodeError);
+  std::string error;
+  try {
+    service.wait();
+  } catch (const DecodeError& e) {
+    error = e.what();
+  }
+  ASSERT_FALSE(error.empty()) << "the truncated feed must fail with a DecodeError";
 
   const auto result = service.result();
   EXPECT_GT(result.applied, 0u);
@@ -328,12 +335,18 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   EXPECT_EQ(result.epochs, service.epochs_published());
   EXPECT_EQ(service.daemon().epoch(), 1 + service.epochs_published());
 
+  // The last good epoch keeps serving, but health says the feed is dead.
   const auto health = fetch(service.port(), "GET", "/v1/healthz");
   ASSERT_TRUE(health.ok);
-  EXPECT_EQ(health.status, 200);
+  EXPECT_EQ(health.status, 503);
+  EXPECT_NE(health.body.find("\"status\":\"degraded\""), std::string::npos) << health.body;
   EXPECT_NE(health.body.find("\"epoch\":" + std::to_string(service.daemon().epoch())),
             std::string::npos)
       << health.body;
+  EXPECT_NE(health.body.find(error), std::string::npos) << health.body;
+  const auto summary = fetch(service.port(), "GET", "/v1/summary");
+  ASSERT_TRUE(summary.ok);
+  EXPECT_EQ(summary.status, 200);
   service.stop();
 }
 

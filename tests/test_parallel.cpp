@@ -9,6 +9,8 @@
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -205,30 +207,122 @@ TEST_F(ParallelFixture, RibJoinMatchesAcrossJobCounts) {
   EXPECT_EQ(sharded.routes(), base.routes());
 }
 
-/// Every distinct path of a store with its count, in a canonical order.
-std::map<std::vector<Asn>, std::uint64_t> path_counts(const PathStore& store) {
-  std::map<std::vector<Asn>, std::uint64_t> out;
-  store.for_each([&out](const std::vector<Asn>& path, std::uint64_t count) { out[path] = count; });
-  return out;
+/// The path table of one family computed without the table code: every
+/// route path with two or more distinct ASes, verbatim, with its count, and
+/// for every link the number of distinct paths containing it.
+struct PathOracle {
+  std::map<std::vector<Asn>, std::uint64_t> paths;
+  std::map<LinkKey, std::uint64_t> link_paths;
+  std::uint64_t occurrences = 0;
+};
+
+PathOracle path_oracle(const mrt::ObservedRib& rib, IpVersion af) {
+  PathOracle oracle;
+  for (const auto& route : rib.routes()) {
+    const auto& path = route.as_path;
+    if (route.af != af || std::set<Asn>(path.begin(), path.end()).size() < 2) continue;
+    ++oracle.paths[path];
+    ++oracle.occurrences;
+  }
+  for (const auto& [path, count] : oracle.paths) {
+    std::set<LinkKey> links;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+      if (path[i] != path[i + 1]) links.emplace(path[i], path[i + 1]);
+    }
+    for (const LinkKey& link : links) ++oracle.link_paths[link];
+  }
+  return oracle;
 }
 
-// The reference is a store filled by a plain loop over the routes, so a bug
-// in the shard merge cannot hide on both sides of the comparison.
-TEST_F(ParallelFixture, PathsOfMatchesPlainLoop) {
+/// paths_of over `rib` equals the oracle at one job and at four: the same
+/// paths and counts, the same sorted links, and the same distinct-path
+/// count for every link.
+void expect_paths_of_matches_oracle(const mrt::ObservedRib& rib) {
   for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-    PathStore reference;
-    for (const auto& route : rib().routes()) {
-      if (route.af == af) reference.add(route.as_path);
-    }
+    const PathOracle oracle = path_oracle(rib, af);
+    std::vector<LinkKey> oracle_links;
+    for (const auto& [link, paths] : oracle.link_paths) oracle_links.push_back(link);
     for (std::size_t jobs : {1u, 4u}) {
+      SCOPED_TRACE(std::string(af == IpVersion::V4 ? "v4" : "v6") + " jobs=" +
+                   std::to_string(jobs));
       ThreadPool pool(jobs);
-      const auto sharded = core::paths_of(rib(), af, pool);
-      EXPECT_EQ(sharded.total_occurrences(), reference.total_occurrences());
-      EXPECT_EQ(path_counts(sharded), path_counts(reference)) << "jobs=" << jobs;
-      EXPECT_EQ(sharded.links(), reference.links());  // links() is canonical
+      const PathStore table = core::paths_of(rib, af, pool);
+      EXPECT_EQ(table.unique_paths(), oracle.paths.size());
+      EXPECT_EQ(table.total_occurrences(), oracle.occurrences);
+      std::map<std::vector<Asn>, std::uint64_t> counts;
+      table.for_each([&counts](std::span<const Asn> path, std::uint64_t count) {
+        counts.emplace(std::vector<Asn>(path.begin(), path.end()), count);
+      });
+      EXPECT_EQ(counts, oracle.paths);
+      EXPECT_EQ(table.links(), oracle_links);
+      for (const auto& [link, paths] : oracle.link_paths) {
+        EXPECT_EQ(table.paths_containing(link.first, link.second), paths)
+            << "link AS" << link.first << "-AS" << link.second;
+      }
     }
   }
 }
+
+/// 6000 routes over 320 base paths that share their first hops, drawn at
+/// random over the whole route range, so exact duplicates fall into every
+/// shard.  Some draws are changed: a prepended hop, a cut-off tail (a
+/// prefix of another path, or a single AS), one AS prepended alone, or a
+/// loop that repeats a link.
+mrt::ObservedRib path_stress_rib() {
+  std::vector<std::vector<Asn>> bases;
+  for (Asn vantage = 1; vantage <= 8; ++vantage) {
+    for (Asn transit = 100; transit < 110; ++transit) {
+      for (Asn origin = 1000; origin < 1004; ++origin) {
+        bases.push_back({vantage, transit, transit + 100, origin});
+      }
+    }
+  }
+  Rng rng(18);
+  mrt::ObservedRib rib;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    std::vector<Asn> path = bases[rng.index(bases.size())];
+    switch (rng.index(6)) {
+      case 0: {
+        const std::size_t hop = rng.index(path.size());
+        const Asn prepended = path[hop];
+        path.insert(path.begin() + static_cast<std::ptrdiff_t>(hop), prepended);
+        break;
+      }
+      case 1: path.resize(rng.index(path.size()) + 1); break;
+      case 2: path.assign(3, path.front()); break;
+      case 3: path.insert(path.end(), {path[0], path[1]}); break;
+      default: break;
+    }
+    mrt::ObservedRoute route;
+    route.af = i % 3 == 0 ? IpVersion::V6 : IpVersion::V4;
+    route.peer_asn = path.front();
+    route.as_path = std::move(path);
+    rib.add(std::move(route));
+  }
+  rib.add(mrt::ObservedRoute{});  // an empty path
+  return rib;
+}
+
+// The reference is brute force over the routes, outside the path table, so
+// a bug in the table or in its partitioned build cannot hide on both sides.
+TEST_F(ParallelFixture, PathsOfMatchesPlainLoop) { expect_paths_of_matches_oracle(rib()); }
+
+TEST(PathsOf, MatchesPlainLoopOnDuplicatesAcrossEveryShard) {
+  const mrt::ObservedRib rib = path_stress_rib();
+  // Some path recurs in every shard of the route range.
+  std::map<std::vector<Asn>, std::set<std::size_t>> shards_of;
+  for (const core::ShardRange& range : core::shard_ranges(rib.size())) {
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      shards_of[rib.routes()[i].as_path].insert(range.index);
+    }
+  }
+  std::size_t widest = 0;
+  for (const auto& [path, shards] : shards_of) widest = std::max(widest, shards.size());
+  ASSERT_EQ(widest, core::kCensusShards);
+  expect_paths_of_matches_oracle(rib);
+}
+
+TEST(PathsOf, EmptyRibGivesAnEmptyTable) { expect_paths_of_matches_oracle(mrt::ObservedRib{}); }
 
 // links() is sorted, so the dual links (kept in v6 link order) must equal
 // the plain sorted-range intersection.

@@ -2,6 +2,10 @@
 // graph, and the path store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "topology/as_graph.hpp"
 #include "topology/path_store.hpp"
 #include "topology/relationship.hpp"
@@ -123,8 +127,8 @@ TEST(PathStore, DeduplicationAndCounts) {
   EXPECT_EQ(store.total_occurrences(), 3u);
 
   std::uint64_t count_123 = 0;
-  store.for_each([&](const std::vector<Asn>& path, std::uint64_t count) {
-    if (path == std::vector<Asn>{1, 2, 3}) count_123 = count;
+  store.for_each([&](std::span<const Asn> path, std::uint64_t count) {
+    if (std::ranges::equal(path, std::vector<Asn>{1, 2, 3})) count_123 = count;
   });
   EXPECT_EQ(count_123, 2u);
 }
@@ -140,6 +144,21 @@ TEST(PathStore, LinkExtraction) {
   EXPECT_EQ(store.paths_containing(3, 2), 2u);  // unordered
   EXPECT_EQ(store.paths_containing(1, 3), 0u);
   EXPECT_EQ(store.paths_containing(5, 6), 1u);
+}
+
+// A path that is one AS prepended has no link, so it is not a path of the
+// table: it counts neither as a distinct path nor as an occurrence.
+TEST(PathStore, PrependedSingleAsPathIgnored) {
+  PathStore store;
+  store.add({7, 7, 7});
+  store.add({7, 7});
+  EXPECT_EQ(store.unique_paths(), 0u);
+  EXPECT_EQ(store.total_occurrences(), 0u);
+  EXPECT_TRUE(store.links().empty());
+
+  store.add({7, 7, 8});  // two distinct ASes once collapsed: kept verbatim
+  EXPECT_EQ(store.unique_paths(), 1u);
+  EXPECT_EQ(store.paths_containing(7, 8), 1u);
 }
 
 TEST(PathStore, PathCountedOncePerLink) {

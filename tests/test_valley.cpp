@@ -75,8 +75,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ValleyCheck, TrivialPaths) {
   const RelationshipMap empty;
-  EXPECT_EQ(check_valley_free({}, empty).cls, PathPolicyClass::ValleyFree);
-  EXPECT_EQ(check_valley_free({42}, empty).cls, PathPolicyClass::ValleyFree);
+  EXPECT_EQ(check_valley_free(std::vector<Asn>{}, empty).cls, PathPolicyClass::ValleyFree);
+  EXPECT_EQ(check_valley_free(std::vector<Asn>{42}, empty).cls, PathPolicyClass::ValleyFree);
 }
 
 TEST(ValleyCheck, PrependingIsCollapsed) {
@@ -84,7 +84,7 @@ TEST(ValleyCheck, PrependingIsCollapsed) {
   map.set(1, 2, Relationship::C2P);
   map.set(2, 3, Relationship::P2C);
   // 2 prepended twice: the 2-2 "link" must not be treated as unknown.
-  const auto result = check_valley_free({1, 2, 2, 2, 3}, map);
+  const auto result = check_valley_free(std::vector<Asn>{1, 2, 2, 2, 3}, map);
   EXPECT_EQ(result.cls, PathPolicyClass::ValleyFree);
   EXPECT_EQ(result.unknown_links, 0u);
 }
@@ -95,6 +95,15 @@ TEST(ValleyCheck, ReportsFirstViolation) {
   ASSERT_EQ(result.cls, PathPolicyClass::Valley);
   ASSERT_TRUE(result.first_violation.has_value());
   EXPECT_EQ(*result.first_violation, 2u);  // the second climb
+}
+
+// first_violation indexes the path with prepending collapsed.
+TEST(ValleyCheck, FirstViolationIndexesTheCollapsedPath) {
+  const auto map = chain({C2P, P2C, C2P, P2C});
+  const auto result = check_valley_free(std::vector<Asn>{1, 1, 2, 3, 3, 3, 4, 5}, map);
+  ASSERT_EQ(result.cls, PathPolicyClass::Valley);
+  ASSERT_TRUE(result.first_violation.has_value());
+  EXPECT_EQ(*result.first_violation, 2u);
 }
 
 TEST(ValleyCheck, CountsPeerLinks) {
