@@ -18,7 +18,6 @@
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "live/incremental_census.hpp"
-#include "live/pipeline.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
 #include "mrt/stream_reader.hpp"
@@ -303,35 +302,22 @@ void BM_DictionaryMining(benchmark::State& state) {
 }
 BENCHMARK(BM_DictionaryMining);
 
-// --- live pipeline -----------------------------------------------------------
+// --- live apply --------------------------------------------------------------
 
-/// Deterministic BGP4MP update stream over the shared dataset, built once:
-/// decoded messages for the apply bench plus an on-disk MRT file for the
-/// end-to-end pipeline bench (PID-suffixed, removed at exit).
-struct LiveBits {
-  std::vector<std::pair<std::uint32_t, mrt::Bgp4mpMessage>> messages;
-  std::string updates_path;
-};
+/// Deterministic BGP4MP update stream over the shared dataset, decoded
+/// once for the apply bench.
+using LiveMessages = std::vector<std::pair<std::uint32_t, mrt::Bgp4mpMessage>>;
 
-const LiveBits& live_bits() {
-  static const LiveBits instance = [] {
-    LiveBits out;
+const LiveMessages& live_messages() {
+  static const LiveMessages instance = [] {
+    LiveMessages out;
     gen::UpdateScheduleParams params;
     params.events = 2000;
-    mrt::MrtWriter writer;
     for (const auto& rec : gen::synthesize_updates(bits().rib, params)) {
-      writer.write(rec);
-      out.messages.emplace_back(rec.timestamp, std::get<mrt::Bgp4mpMessage>(rec.body));
+      out.emplace_back(rec.timestamp, std::get<mrt::Bgp4mpMessage>(rec.body));
     }
-    out.updates_path = "/tmp/hybridtor_bench_updates." + std::to_string(::getpid()) + ".mrt";
-    writer.save(out.updates_path);
     return out;
   }();
-  static const bool cleanup = [] {
-    std::atexit([] { std::remove(live_bits().updates_path.c_str()); });
-    return true;
-  }();
-  (void)cleanup;
   return instance;
 }
 
@@ -343,7 +329,7 @@ const LiveBits& live_bits() {
 void BM_LiveApply(benchmark::State& state) {
   core::InferenceConfig config;
   live::IncrementalCensus census(bits().rib, bits().dict, config, "bench", 1281052800u);
-  const auto& messages = live_bits().messages;
+  const auto& messages = live_messages();
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [timestamp, msg] = messages[i % messages.size()];
@@ -354,33 +340,6 @@ void BM_LiveApply(benchmark::State& state) {
   state.counters["routes"] = static_cast<double>(census.rib().size());
 }
 BENCHMARK(BM_LiveApply);
-
-/// End-to-end reader -> decoder -> apply stream over the updates file, no
-/// epoch recomputes: updates applied per second through the full
-/// three-stage pipeline.  Arg is the ring capacity — the /2-over-/1024
-/// ratio prices running every inter-stage handoff at maximum backpressure
-/// (output is identical either way; only the stall count changes).
-void BM_PipelineThroughput(benchmark::State& state) {
-  const auto& updates = live_bits();
-  const std::size_t update_count = updates.messages.size();
-  core::InferenceConfig config;
-  ThreadPool pool(1);
-  for (auto _ : state) {
-    state.PauseTiming();
-    live::IncrementalCensus census(bits().rib, bits().dict, config, "bench", 1281052800u);
-    state.ResumeTiming();
-    live::PipelineConfig pipeline_config;
-    pipeline_config.ring_capacity = static_cast<std::size_t>(state.range(0));
-    pipeline_config.final_epoch = false;
-    live::Pipeline pipeline(census, pipeline_config);
-    auto result = pipeline.run({updates.updates_path}, pool);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * update_count));
-  state.counters["updates"] = static_cast<double>(update_count);
-  state.counters["ring_capacity"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_PipelineThroughput)->Arg(2)->Arg(1024)->UseRealTime();
 
 // --- snapshot store ----------------------------------------------------------
 

@@ -497,7 +497,6 @@ std::string QueryDaemon::metrics_json() const {
   json.key("snapshot_timestamp").value(state->index.timestamp());
   json.key("snapshot_format_version").value(state->index.format_version());
   json.key("snapshot_bytes").value(state->index.snapshot_bytes());
-  json.key("mapped_bytes").value(state->index.snapshot_bytes());
   json.key("requests_total").value(routed + parse_failures);
   json.key("parse_failures").value(parse_failures);
 

@@ -20,9 +20,10 @@
 #      positional argument are both rejected.
 #   8. Unknown options ("--frobnicate", "-x", the retired "--no-stream") and
 #      the retired `snapshot-upgrade` verb are rejected with a usage error
-#      instead of being swallowed as positional file arguments; a value
-#      option with a bad `=` value or no value at all exits 2 with its
-#      diagnostic.
+#      instead of being swallowed as positional file arguments; so is the
+#      retired "--ring-capacity" on `follow` and `serve --follow` (exit 2);
+#      a value option with a bad `=` value or no value at all exits 2 with
+#      its diagnostic.
 #   9. `query --json` emits the machine-readable shape (the same bytes the
 #      query daemon serves; byte-level identity is proven by
 #      test_server_e2e), in pair, neighbor, and not-found modes; --json on
@@ -317,6 +318,19 @@ foreach(bad_flag "--frobnicate" "-x" "--no-stream")
   string(FIND "${err}" "usage:" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "unknown-option error must print usage: ${err}")
+  endif()
+endforeach()
+
+# The live feed is one loop with no rings to size: --ring-capacity is an
+# unknown option to both live modes.
+foreach(live_cmd "follow" "serve;--follow")
+  execute_process(COMMAND "${HYBRIDTOR}" ${live_cmd} --ring-capacity 4
+                          "${DATA_DIR}/rib.mrt" "${DATA_DIR}/irr.txt" "${DATA_DIR}/rib.mrt"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(FIND "${err}" "unknown option '--ring-capacity'" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1 OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${live_cmd} --ring-capacity must exit 2 as an unknown option"
+                        " (rc=${rc}): ${err}")
   endif()
 endforeach()
 

@@ -5,9 +5,9 @@
 // interleavings TSan needs to prove the absence of data races in the
 // daemon's hot-reload state swap, the connection pump's worker hand-off,
 // overlapping shard_map calls on one ThreadPool, pool shutdown ordering,
-// and — since the live subsystem landed — the SPSC ring's release/acquire
-// protocol, the live pipeline's cooperative shutdown, and serve --follow's
-// epoch swap_index() racing direct handle() storms.  Removing the
+// and — since the live subsystem landed — the live feed's cooperative
+// shutdown and serve --follow's epoch swap_index() racing direct handle()
+// storms.  Removing the
 // state_mutex_ lock around QueryDaemon's shared_ptr swap makes
 // DirectHandleStormRacesReload fail under TSan within milliseconds
 // (verified once by hand; see CHANGES.md for PR 6).
@@ -46,7 +46,6 @@
 #include "snapshot/query.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/writer.hpp"
-#include "util/spsc_ring.hpp"
 #include "util/thread_pool.hpp"
 
 namespace htor {
@@ -413,60 +412,6 @@ TEST_F(ConcurrencyStress, StopWithIdleAndHalfOpenConnectionsQuiesces) {
 
 // --------------------------------------------------- live pipeline races
 
-// The tiny-ring contention case: capacity 2 forces producer and consumer to
-// collide on the same two slots for every element, so every push/pop pair
-// exercises the release/acquire handshake through a wraparound.  A third
-// thread scrapes occupancy() continuously — the /metrics ring-depth gauge
-// path — which must stay a benign approximate read: it may lag but can
-// never report more than capacity (tail is loaded before head, and head
-// only grows).
-TEST(SpscRingStress, CapacityTwoWraparoundUnderContention) {
-  constexpr std::uint64_t kCount = 30000;
-  SpscRing<std::uint64_t> ring(2);
-  std::atomic<bool> scrape_stop{false};
-  std::atomic<int> overshoots{0};
-
-  std::thread scraper([&ring, &scrape_stop, &overshoots] {
-    while (!scrape_stop.load(std::memory_order_acquire)) {
-      if (ring.occupancy() > ring.capacity()) {
-        overshoots.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::this_thread::yield();
-    }
-  });
-
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kCount;) {
-      std::uint64_t value = i;
-      if (ring.try_push(value)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    ring.close();
-  });
-
-  std::uint64_t next = 0;
-  int misordered = 0;
-  while (!ring.done()) {
-    std::uint64_t out = 0;
-    if (ring.try_pop(out)) {
-      if (out != next) ++misordered;
-      ++next;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  scrape_stop.store(true, std::memory_order_release);
-  scraper.join();
-
-  EXPECT_EQ(next, kCount);
-  EXPECT_EQ(misordered, 0);
-  EXPECT_EQ(overshoots.load(), 0);
-}
-
 /// On-disk inputs for the live-pipeline stress tests: seed RIB, IRR dump,
 /// and a deterministic update stream, built once per process.
 struct LiveStressWorld {
@@ -515,15 +460,11 @@ const LiveStressWorld& live_world() {
   return w;
 }
 
-// request_stop() arriving while all three stages are in flight: the flag is
-// polled by the reader's stalled push, the decoder's stalled push, and the
-// apply loop's pop, and run()'s join path must drain both rings without
-// deadlocking whatever the stages were doing when the flag flipped.
-// Capacity-2 rings keep the stages blocked on backpressure most of the time
-// (the hard case for shutdown: a stalled producer must still observe stop),
-// and the quadratically staggered delay walks the flag across stage states
-// from before-first-record to after-stream-end.
-TEST(LivePipelineStress, RequestStopRacesAllThreeStages) {
+// request_stop() from another thread while the feed loop runs: the flag is
+// polled once per message, and the quadratically staggered delay walks it
+// across the loop's states — before the first record, mid-apply, inside an
+// epoch recompute, after the stream ends — while TSan watches the handoff.
+TEST(LivePipelineStress, RequestStopRacesTheFeedLoop) {
   const auto& w = live_world();
   core::InferenceConfig config;
   ThreadPool pool(2);
@@ -531,7 +472,6 @@ TEST(LivePipelineStress, RequestStopRacesAllThreeStages) {
   for (int round = 0; round < 8; ++round) {
     live::IncrementalCensus census(w.rib, w.dict, config, "stress-live", 1281052800u);
     live::PipelineConfig pipeline_config;
-    pipeline_config.ring_capacity = 2;
     pipeline_config.epoch_every = 200;
     live::Pipeline pipeline(census, pipeline_config);
 
@@ -572,7 +512,6 @@ TEST(LivePipelineStress, FollowEpochSwapsRaceDirectHandleStorm) {
   config.daemon.port = 0;
   config.daemon.jobs = 2;
   config.pipeline.epoch_every = 80;
-  config.pipeline.ring_capacity = 64;
   config.jobs = 1;
   live::FollowService service(w.rib_path, w.irr_path, {w.updates_path}, config);
   service.start();

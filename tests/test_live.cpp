@@ -2,7 +2,7 @@
 // semantics on the live ObservedRib, the RIB rules the live contract rests
 // on, and the pipeline's equivalence oracle — every epoch's snapshot is
 // byte-identical to an independent sequential replay of the same update
-// prefix, at any ring capacity and any pool size.
+// prefix, at any pool size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,46 +302,41 @@ TEST(IncrementalCensus, DuplicateKeyRowsBatchCountsBothEpochZeroKeepsLast) {
             snapshot::Writer::encode(core::to_snapshot(last_report, kSource, kSeedTimestamp)));
 }
 
-// The acceptance matrix: every epoch the pipeline cuts — at ring capacity
-// 2 (maximal stage interleaving), 64, and the 1024 default, with the epoch
-// pool at 1 and 4 workers — is byte-identical to the independent replay of
-// the same update prefix.
-TEST(LivePipeline, EpochsMatchIndependentReplayAtAnyCapacityAndJobs) {
+// The acceptance matrix: every epoch the feed cuts, with the epoch pool at
+// 1 and 4 workers, is byte-identical to the independent replay of the same
+// update prefix.
+TEST(LivePipeline, EpochsMatchIndependentReplayAtAnyJobs) {
   const World& w = world();
   const std::string path = write_updates_file(w.updates, "live_equiv_updates.mrt");
 
   // Ground truth, computed once per distinct epoch boundary.
   std::map<std::uint64_t, std::vector<std::uint8_t>> reference;
 
-  for (const std::size_t capacity : {std::size_t{2}, std::size_t{64}, std::size_t{1024}}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-      ThreadPool pool(jobs);
-      IncrementalCensus census(w.rib, w.dict, core::InferenceConfig{}, kSource, kSeedTimestamp);
-      PipelineConfig pipeline_config;
-      pipeline_config.ring_capacity = capacity;
-      pipeline_config.epoch_every = 150;
-      Pipeline pipeline(census, pipeline_config);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(jobs);
+    IncrementalCensus census(w.rib, w.dict, core::InferenceConfig{}, kSource, kSeedTimestamp);
+    PipelineConfig pipeline_config;
+    pipeline_config.epoch_every = 150;
+    Pipeline pipeline(census, pipeline_config);
 
-      std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> epochs;
-      const auto result = pipeline.run({path}, pool, [&](const EpochReport& epoch) {
-        epochs.emplace_back(epoch.applied, snapshot::Writer::encode(epoch.snap));
-      });
-      ASSERT_FALSE(result.stopped);
-      ASSERT_EQ(result.applied, w.updates.size());
-      ASSERT_EQ(result.records, w.updates.size());
-      ASSERT_GE(epochs.size(), 2u) << "expected mid-stream epochs plus the final one";
-      ASSERT_EQ(epochs.back().first, w.updates.size());
+    std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> epochs;
+    const auto result = pipeline.run({path}, pool, [&](const EpochReport& epoch) {
+      epochs.emplace_back(epoch.applied, snapshot::Writer::encode(epoch.snap));
+    });
+    ASSERT_FALSE(result.stopped);
+    ASSERT_EQ(result.applied, w.updates.size());
+    ASSERT_EQ(result.records, w.updates.size());
+    ASSERT_GE(epochs.size(), 2u) << "expected mid-stream epochs plus the final one";
+    ASSERT_EQ(epochs.back().first, w.updates.size());
 
-      ThreadPool reference_pool(1);
-      for (const auto& [applied, bytes] : epochs) {
-        auto it = reference.find(applied);
-        if (it == reference.end()) {
-          it = reference.emplace(applied, replay_reference(w, applied, reference_pool)).first;
-        }
-        EXPECT_EQ(bytes, it->second)
-            << "epoch at applied=" << applied << " diverged from the sequential replay"
-            << " (capacity=" << capacity << ", jobs=" << jobs << ")";
+    ThreadPool reference_pool(1);
+    for (const auto& [applied, bytes] : epochs) {
+      auto it = reference.find(applied);
+      if (it == reference.end()) {
+        it = reference.emplace(applied, replay_reference(w, applied, reference_pool)).first;
       }
+      EXPECT_EQ(bytes, it->second) << "epoch at applied=" << applied
+                                   << " diverged from the sequential replay (jobs=" << jobs << ")";
     }
   }
   std::remove(path.c_str());

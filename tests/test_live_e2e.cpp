@@ -30,6 +30,7 @@
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "live/follow.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
 #include "rpsl/object.hpp"
@@ -136,6 +137,11 @@ std::optional<std::uint64_t> prom_value(const std::string& text, const std::stri
     if (line.rfind(sample + " ", 0) == 0) return std::stoull(line.substr(sample.size() + 1));
   }
   return std::nullopt;
+}
+
+/// The sample name of one htor_live_pipeline_state gauge.
+std::string pipeline_state(const std::string& state) {
+  return "htor_live_pipeline_state{state=\"" + state + "\"}";
 }
 
 // --------------------------------------------------------------- fixture
@@ -272,6 +278,9 @@ TEST(LiveFollowE2E, ServesQueriesWhileStreamingAndAdvancesEpochs) {
   EXPECT_NE(metrics.body.find("htor_live_records_total " + std::to_string(f.update_count)),
             std::string::npos)
       << "records counter should equal the stream length";
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("finished")), 1u) << metrics.body;
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("running")), 0u) << metrics.body;
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("failed")), 0u) << metrics.body;
 
   service.stop();
 }
@@ -305,9 +314,9 @@ TEST(LiveFollowE2E, ServedGaugesEqualAFreshCensusAfterEpochs) {
 }
 
 // A feed that fails mid-stream reports itself: wait() rethrows the decode
-// error, result() says how far the stream got, and the daemon keeps
-// serving the last good epoch while /v1/healthz answers 503 "degraded"
-// with that error.
+// error, result() says exactly how far the stream got, the pipeline-state
+// gauge reads "failed", and the daemon keeps serving the last good epoch
+// while /v1/healthz answers 503 "degraded" with that error.
 TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   obs::MetricsRegistry::global().reset_values();
   const LiveFiles& f = files();
@@ -316,9 +325,14 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
                              std::filesystem::copy_options::overwrite_existing);
   std::filesystem::resize_file(truncated, std::filesystem::file_size(f.updates) - 7);
 
-  FollowConfig config = follow_config(100);
-  config.pipeline.ring_capacity = 2;  // the reader cannot run far ahead of apply
-  FollowService service(f.rib, f.irr, {truncated}, config);
+  // Cutting 7 bytes breaks only the last record, so the feed applies every
+  // complete record before it.
+  std::uint64_t complete_records = 0;
+  mrt::MrtStreamReader full(f.updates);
+  while (full.next_update()) ++complete_records;
+  ASSERT_GT(complete_records, 100u);
+
+  FollowService service(f.rib, f.irr, {truncated}, follow_config(100));
   service.start();
   std::string error;
   try {
@@ -329,9 +343,9 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   ASSERT_FALSE(error.empty()) << "the truncated feed must fail with a DecodeError";
 
   const auto result = service.result();
-  EXPECT_GT(result.applied, 0u);
+  EXPECT_EQ(result.applied, complete_records - 1);
   EXPECT_EQ(result.applied, service.census().applied());
-  EXPECT_GE(service.epochs_published(), 1u);
+  EXPECT_EQ(service.epochs_published(), result.applied / 100);
   EXPECT_EQ(result.epochs, service.epochs_published());
   EXPECT_EQ(service.daemon().epoch(), 1 + service.epochs_published());
 
@@ -347,6 +361,12 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   const auto summary = fetch(service.port(), "GET", "/v1/summary");
   ASSERT_TRUE(summary.ok);
   EXPECT_EQ(summary.status, 200);
+
+  const auto metrics = fetch(service.port(), "GET", "/metrics");
+  ASSERT_TRUE(metrics.ok);
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("failed")), 1u) << metrics.body;
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("running")), 0u) << metrics.body;
+  EXPECT_EQ(prom_value(metrics.body, pipeline_state("finished")), 0u) << metrics.body;
   service.stop();
 }
 
@@ -377,7 +397,7 @@ TEST(LiveFollowE2E, StopMidStreamIsCleanAndIdempotent) {
   const LiveFiles& f = files();
   FollowService service(f.rib, f.irr, {f.updates}, follow_config(50));
   service.start();
-  // Stop as early as possible: whichever stage the pipeline is in, stop()
+  // Stop as early as possible: wherever the feed loop is, stop()
   // must join cleanly, and a second stop() must be a no-op.
   service.stop();
   service.stop();

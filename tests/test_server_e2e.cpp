@@ -294,6 +294,9 @@ TEST_F(ServerE2E, SummaryHealthzAndMetricsServe) {
   EXPECT_NE(metrics.body.find("\"requests_total\":"), std::string::npos);
   EXPECT_NE(metrics.body.find("\"latency_us\":"), std::string::npos);
   EXPECT_NE(metrics.body.find("\"epoch\":1"), std::string::npos);
+  // The snapshot's size has one key; the old `mapped_bytes` repeat is gone.
+  EXPECT_NE(metrics.body.find("\"snapshot_bytes\":"), std::string::npos) << metrics.body;
+  EXPECT_EQ(metrics.body.find("\"mapped_bytes\""), std::string::npos) << metrics.body;
 }
 
 TEST_F(ServerE2E, ConcurrentClientsGetIdenticalCorrectAnswers) {

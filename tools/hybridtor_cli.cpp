@@ -25,9 +25,9 @@
 //                              a freshly loaded snapshot without downtime
 //   follow  <rib.mrt> <irr.txt> <updates.mrt...>
 //                              continuous census: seed the RIB, stream the
-//                              BGP4MP update files through the live pipeline
-//                              (reader -> decoder -> apply over SPSC rings),
-//                              and cut a full census epoch every
+//                              BGP4MP update files through the live feed
+//                              (one read -> decode -> apply loop), and cut
+//                              a full census epoch every
 //                              --epoch-every applied updates (plus a final
 //                              one).  Each epoch is byte-identical to
 //                              running `census` on the RIB state at that
@@ -162,10 +162,10 @@ int usage() {
                "  hybridtor diff <a.snap> <b.snap>\n"
                "  hybridtor query [--json] <snap> <asn> [asn2]\n"
                "  hybridtor serve <snap> [--port N] [--jobs N]\n"
-               "  hybridtor follow [--jobs N] [--epoch-every N] [--ring-capacity N]\n"
+               "  hybridtor follow [--jobs N] [--epoch-every N]\n"
                "                   <rib.mrt> <irr.txt> <updates.mrt...>\n"
                "  hybridtor serve --follow [--port N] [--jobs N] [--epoch-every N]\n"
-               "                   [--ring-capacity N] <rib.mrt> <irr.txt> <updates.mrt...>\n";
+               "                   <rib.mrt> <irr.txt> <updates.mrt...>\n";
   return 2;
 }
 
@@ -177,18 +177,6 @@ std::optional<std::uint64_t> parse_epoch_every(const std::string& value) {
     return std::nullopt;
   }
   return parsed;
-}
-
-/// Strict parse for --ring-capacity (rounded up to a power of two; 0 is
-/// rejected here rather than throwing out of the pipeline constructor).
-std::optional<std::size_t> parse_ring_capacity(const std::string& value) {
-  std::uint64_t parsed = 0;
-  if (!parse_u64(value, parsed) || parsed == 0 || parsed > (1u << 20)) {
-    std::cerr << "error: --ring-capacity expects an integer in [1, 1048576], got '" << value
-              << "'\n";
-    return std::nullopt;
-  }
-  return static_cast<std::size_t>(parsed);
 }
 
 /// Strict parse for generate --update-events.
@@ -650,7 +638,7 @@ int cmd_serve(const std::string& snap_path, std::uint16_t port, std::size_t jobs
 /// offline replay / validation path (`serve --follow` is the serving path).
 int cmd_follow(const std::string& rib_path, const std::string& irr_path,
                std::vector<std::string> update_paths, std::size_t jobs,
-               std::uint64_t epoch_every, std::size_t ring_capacity) {
+               std::uint64_t epoch_every) {
   ThreadPool pool(jobs);
   mrt::ObservedRib rib;
   try {
@@ -667,7 +655,6 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
                                  static_cast<std::uint32_t>(rib_epoch(rib_path)));
 
   live::PipelineConfig pipeline_config;
-  pipeline_config.ring_capacity = ring_capacity;
   pipeline_config.epoch_every = epoch_every;
   live::Pipeline pipeline(census, pipeline_config);
 
@@ -700,12 +687,11 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
 /// its own default connection workers).
 int cmd_serve_follow(const std::string& rib_path, const std::string& irr_path,
                      std::vector<std::string> update_paths, std::uint16_t port,
-                     std::size_t jobs, std::uint64_t epoch_every, std::size_t ring_capacity) {
+                     std::size_t jobs, std::uint64_t epoch_every) {
   live::FollowConfig config;
   config.daemon.port = port;
   config.jobs = jobs;
   config.pipeline.epoch_every = epoch_every;
-  config.pipeline.ring_capacity = ring_capacity;
   live::FollowService service(rib_path, irr_path, std::move(update_paths), config);
 
   struct sigaction sa = {};
@@ -780,7 +766,6 @@ int main(int argc, char** argv) {
   std::optional<std::string> trace_out;
   std::optional<std::uint16_t> port;
   std::optional<std::uint64_t> epoch_every;
-  std::optional<std::size_t> ring_capacity;
   std::optional<std::size_t> update_events;
   std::optional<std::size_t> scale;
   for (int i = 1; i < argc; ++i) {
@@ -818,10 +803,6 @@ int main(int argc, char** argv) {
     std::optional<std::string> value;
     if (option_value(argc, argv, i, "--epoch-every", false, value)) {
       if (!value || !(epoch_every = parse_epoch_every(*value))) return 2;
-      continue;
-    }
-    if (option_value(argc, argv, i, "--ring-capacity", false, value)) {
-      if (!value || !(ring_capacity = parse_ring_capacity(*value))) return 2;
       continue;
     }
     if (option_value(argc, argv, i, "--update-events", false, value)) {
@@ -877,9 +858,8 @@ int main(int argc, char** argv) {
     std::cerr << "error: --follow is only valid with the serve subcommand\n";
     return 2;
   }
-  if ((epoch_every || ring_capacity) && cmd != "follow" && !(cmd == "serve" && follow)) {
-    std::cerr << "error: --epoch-every/--ring-capacity are only valid with follow or"
-                 " serve --follow\n";
+  if (epoch_every && cmd != "follow" && !(cmd == "serve" && follow)) {
+    std::cerr << "error: --epoch-every is only valid with follow or serve --follow\n";
     return 2;
   }
   if (update_events && cmd != "generate") {
@@ -924,12 +904,11 @@ int main(int argc, char** argv) {
     }
     if (cmd == "follow" && args.size() >= 4) {
       return cmd_follow(args[1], args[2], {args.begin() + 3, args.end()}, jobs.value_or(1),
-                        epoch_every.value_or(0), ring_capacity.value_or(1024));
+                        epoch_every.value_or(0));
     }
     if (cmd == "serve" && follow && args.size() >= 4) {
       return cmd_serve_follow(args[1], args[2], {args.begin() + 3, args.end()},
-                              port.value_or(8080), jobs.value_or(1), epoch_every.value_or(0),
-                              ring_capacity.value_or(1024));
+                              port.value_or(8080), jobs.value_or(1), epoch_every.value_or(0));
     }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

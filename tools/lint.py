@@ -31,10 +31,8 @@ enforces them over ``src/`` and ``tools/``:
                     bytes stay confined to the v2 layout module where every
                     access is offset-validated first.
   adhoc-atomic-counter
-                    a non-bool ``std::atomic<...>`` outside src/obs,
-                    util/thread_pool, and util/spsc_ring (whose head/tail
-                    indices are the lock-free protocol, not counters).
-                    Telemetry counters belong in
+                    a non-bool ``std::atomic<...>`` outside src/obs and
+                    util/thread_pool.  Telemetry counters belong in
                     obs::MetricsRegistry (sharded, named, scraped by both
                     metrics endpoints) — a raw atomic is invisible to
                     /metrics and regrows the pre-registry drift between
@@ -82,12 +80,9 @@ BYTES_HOME = re.compile(r"(^|/)src/util/bytes\.(hpp|cpp)$")
 THREAD_HOME = re.compile(r"(^|/)src/util/thread_pool\.(hpp|cpp)$")
 MMAP_HOME = re.compile(r"(^|/)src/(util/mmap_file|snapshot/layout[^/]*)\.(hpp|cpp)$")
 # Where raw integral atomics are the implementation, not ad-hoc telemetry:
-# the metrics registry's own cells, the thread pool's executed counter
-# (exposed to the registry via a polled callback), and the SPSC ring, whose
-# head/tail indices ARE the lock-free synchronization protocol — they could
-# not live in the registry, and the ring's occupancy is scraped through the
-# live pipeline's htor_live_ring_depth callback gauges instead.
-OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool|util/spsc_ring)\.(hpp|cpp)$")
+# the metrics registry's own cells and the thread pool's executed counter
+# (exposed to the registry via a polled callback).
+OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool)\.(hpp|cpp)$")
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)\s*(.*)$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -386,14 +381,6 @@ SELF_TEST_CASES = [
         "src/obs/good_cells.cpp",
         "namespace htor {\n"
         "struct Cell { std::atomic<std::uint64_t> value{0}; };\n"
-        "}  // namespace htor\n",
-        set(),
-    ),
-    (
-        "spsc ring indices are the synchronization protocol, not telemetry",
-        "src/util/spsc_ring.hpp",
-        "#pragma once\nnamespace htor {\n"
-        "struct R { std::atomic<std::uint64_t> tail_{0}; };\n"
         "}  // namespace htor\n",
         set(),
     ),
