@@ -53,13 +53,30 @@ std::size_t sole_position(const std::vector<Asn>& chain, Asn asn) {
 
 }  // namespace
 
-void CommunityVotes::merge(const CommunityVotes& other) {
-  for (const auto& [key, vote] : other.votes) {
-    auto& mine = votes[key];
-    for (std::size_t i = 0; i < mine.size(); ++i) mine[i] += vote[i];
+void route_votes(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                 std::vector<Asn>& chain, std::vector<LinkVote>& votes) {
+  votes.clear();
+  collapse(route.as_path, chain);
+  if (chain.size() < 2) return;
+
+  for (bgp::Community community : route.communities) {
+    const rpsl::CommunityMeaning* meaning = dict.lookup(community);
+    if (meaning == nullptr || !rpsl::is_relationship_tag(meaning->kind)) continue;
+
+    // Localize: the tagging AS must sit on this path exactly once, with a
+    // next hop toward the origin.
+    const std::size_t at = sole_position(chain, community.asn());
+    if (at == kNoPosition || at + 1 >= chain.size()) continue;
+    const Asn tagger = chain[at];
+    const Asn from = chain[at + 1];
+
+    const Relationship rel = rpsl::relationship_of(meaning->kind);  // rel(tagger, from)
+    const LinkKey key(tagger, from);
+    const Relationship canonical = key.first == tagger ? rel : reverse(rel);
+    const std::size_t idx = rel_index(canonical);
+    if (idx >= 4) continue;
+    votes.push_back({key, idx});
   }
-  tagged_routes += other.tagged_routes;
-  total_votes += other.total_votes;
 }
 
 CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>& routes,
@@ -67,35 +84,35 @@ CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>
                                     const rpsl::CommunityDictionary& dict) {
   CommunityVotes out;
   std::vector<Asn> chain;  // reused across routes
+  std::vector<LinkVote> votes;
   for (std::size_t r = begin; r < end && r < routes.size(); ++r) {
-    const mrt::ObservedRoute* route = routes[r];
-    collapse(route->as_path, chain);
-    if (chain.size() < 2) continue;
-
-    bool contributed = false;
-    for (bgp::Community community : route->communities) {
-      const rpsl::CommunityMeaning* meaning = dict.lookup(community);
-      if (meaning == nullptr || !rpsl::is_relationship_tag(meaning->kind)) continue;
-
-      // Localize: the tagging AS must sit on this path exactly once, with a
-      // next hop toward the origin.
-      const std::size_t at = sole_position(chain, community.asn());
-      if (at == kNoPosition || at + 1 >= chain.size()) continue;
-      const Asn tagger = chain[at];
-      const Asn from = chain[at + 1];
-
-      const Relationship rel = rpsl::relationship_of(meaning->kind);  // rel(tagger, from)
-      const LinkKey key(tagger, from);
-      const Relationship canonical = key.first == tagger ? rel : reverse(rel);
-      const std::size_t idx = rel_index(canonical);
-      if (idx >= 4) continue;
-      ++out.votes[key][idx];
-      ++out.total_votes;
-      contributed = true;
-    }
-    if (contributed) ++out.tagged_routes;
+    route_votes(*routes[r], dict, chain, votes);
+    for (const LinkVote& vote : votes) ++out.votes[vote.link][vote.rel];
+    out.total_votes += votes.size();
+    if (!votes.empty()) ++out.tagged_routes;
   }
   return out;
+}
+
+Relationship tally_link(const std::array<std::uint32_t, 4>& vote,
+                        const CommunityInferenceParams& params) {
+  std::uint64_t total = 0;
+  std::size_t best = 0;
+  std::size_t with_max = 0;  // how many relationships share the top count
+  for (std::size_t i = 0; i < 4; ++i) {
+    total += vote[i];
+    if (vote[i] > vote[best]) best = i;
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (vote[i] == vote[best]) ++with_max;
+  }
+  // A tie for the top count (e.g. 1×P2C vs 1×P2P) is a contradiction, not
+  // a winner — resolving it by enum order would silently prefer P2C.
+  if (with_max > 1 || vote[best] < params.min_votes ||
+      static_cast<double>(vote[best]) < params.majority * static_cast<double>(total)) {
+    return Relationship::Unknown;
+  }
+  return rel_from_index(best);
 }
 
 CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,
@@ -105,24 +122,12 @@ CommunityInferenceResult tally_community_votes(const CommunityVotes& votes,
   result.total_votes = votes.total_votes;
   result.links_with_votes = votes.votes.size();
   for (const auto& [key, vote] : votes.votes) {
-    std::uint64_t total = 0;
-    std::size_t best = 0;
-    std::size_t with_max = 0;  // how many relationships share the top count
-    for (std::size_t i = 0; i < 4; ++i) {
-      total += vote[i];
-      if (vote[i] > vote[best]) best = i;
-    }
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (vote[i] == vote[best]) ++with_max;
-    }
-    // A tie for the top count (e.g. 1×P2C vs 1×P2P) is a contradiction, not
-    // a winner — resolving it by enum order would silently prefer P2C.
-    if (with_max > 1 || vote[best] < params.min_votes ||
-        static_cast<double>(vote[best]) < params.majority * static_cast<double>(total)) {
+    const Relationship rel = tally_link(vote, params);
+    if (rel == Relationship::Unknown) {
       ++result.conflicted_links;
-      continue;
+    } else {
+      result.rels.set(key.first, key.second, rel);
     }
-    result.rels.set(key.first, key.second, rel_from_index(best));
   }
   return result;
 }

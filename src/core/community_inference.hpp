@@ -36,22 +36,39 @@ struct CommunityInferenceResult {
   std::uint64_t total_votes = 0;
 };
 
-/// Raw vote state produced by scanning a batch of routes.  Scans over
-/// disjoint route shards merge commutatively (per-link counts add), which is
-/// what lets the per-route scan run sharded on a thread pool.
+/// Raw vote state produced by scanning a batch of routes.  Per-link counts
+/// add, so the census scans route shards on a thread pool and sums each
+/// link's counts in its hash partition (core::infer_relationships).
 struct CommunityVotes {
   /// Votes per canonical link, indexed P2C/C2P/P2P/S2S.
   std::unordered_map<LinkKey, std::array<std::uint32_t, 4>, LinkKeyHash> votes;
   std::uint64_t tagged_routes = 0;
   std::uint64_t total_votes = 0;
-
-  void merge(const CommunityVotes& other);
 };
+
+/// One vote: a link and its relationship's index (P2C/C2P/P2P/S2S, of the
+/// canonical link).
+struct LinkVote {
+  LinkKey link;
+  std::size_t rel = 0;
+};
+
+/// Replace `votes` with the votes of `route`'s localizable relationship
+/// tags, in community order.  `chain` is scratch space, reused across
+/// routes.
+void route_votes(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                 std::vector<Asn>& chain, std::vector<LinkVote>& votes);
 
 /// Scan routes[begin, end) for localizable relationship tags.
 CommunityVotes scan_community_votes(const std::vector<const mrt::ObservedRoute*>& routes,
                                     std::size_t begin, std::size_t end,
                                     const rpsl::CommunityDictionary& dict);
+
+/// The majority rule for one link's votes (indexed P2C/C2P/P2P/S2S, of the
+/// canonical link): the winning relationship, or Unknown when the votes
+/// conflict.
+Relationship tally_link(const std::array<std::uint32_t, 4>& votes,
+                        const CommunityInferenceParams& params);
 
 /// Majority-type every voted link.  Depends only on the merged vote totals,
 /// so the sharding that produced them cannot change the outcome.

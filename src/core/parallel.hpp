@@ -103,8 +103,8 @@ Acc shard_map_reduce(ThreadPool& pool, std::size_t n, Map map, Acc init, Reduce 
 /// Map-reduce for keyed outputs.  `map` turns each fixed shard of [0, n)
 /// into a std::vector of exactly kCensusShards buckets, bucket p holding the
 /// shard's keys with partition_of(hash) == p.  Partition p then calls
-/// `fold` on bucket p of shards 0, 1, ... (a const vector in shard order)
-/// as its own pool task.  A key never leaves its partition, so the folds share no
+/// `fold(p, column)`, column being bucket p of shards 0, 1, ... (a const
+/// vector in shard order), as its own pool task.  A key never leaves its partition, so the folds share no
 /// state, and the results — returned in partition order — are the same for
 /// every pool size.
 template <typename Map, typename Fold>
@@ -117,7 +117,7 @@ auto partitioned_map_reduce(ThreadPool& pool, std::size_t n, Map map, Fold fold)
         Buckets column;
         column.reserve(shards.size());
         for (Buckets& shard : shards) column.push_back(std::move(shard.at(partition.index)));
-        return fold(std::as_const(column));
+        return fold(partition.index, std::as_const(column));
       },
       kCensusShards);
 }

@@ -1,12 +1,14 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "core/parallel.hpp"
 #include "mrt/stream_reader.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 
 namespace htor::core {
 
@@ -16,42 +18,92 @@ mrt::ObservedRib load_rib(const std::string& path, ThreadPool& pool) {
 
 namespace {
 
-/// Merge every shard future in order; on failure keep draining (the tasks
-/// reference caller-owned route lists) and rethrow the first error.
-CommunityVotes collect_votes(std::vector<std::future<CommunityVotes>>& futures,
-                             std::exception_ptr& first_error) {
-  CommunityVotes merged;
-  for (auto& future : futures) {
-    try {
-      merged.merge(future.get());
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  return merged;
+/// Index of a family in the per-family arrays below.
+std::size_t family(IpVersion af) { return af == IpVersion::V4 ? 0 : 1; }
+
+/// The partition a link's votes reduce in.
+std::size_t link_partition(const LinkKey& link) {
+  return partition_of(splitmix64(static_cast<std::uint64_t>(link.first) << 32 | link.second));
 }
 
-/// Exact most-voted links from the merged tallies.  The order is total
-/// (votes, then link), so unordered_map iteration order cannot leak in.
-std::vector<VotedLink> top_voted_links(const CommunityVotes& v4, const CommunityVotes& v6) {
-  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> totals;
-  for (const CommunityVotes* family : {&v4, &v6}) {
-    for (const auto& [key, tallies] : family->votes) {
-      for (const std::uint32_t n : tallies) totals[key] += n;
-    }
-  }
-  std::vector<VotedLink> links;
-  links.reserve(totals.size());
-  for (const auto& [key, votes] : totals) {
-    if (votes > 0) links.push_back({key, votes});
-  }
+/// One route shard's votes in one partition, per family: each voted link
+/// with its tallies (indexed P2C/C2P/P2P/S2S), and the tagged routes whose
+/// first vote falls in the partition.
+struct VoteBucket {
+  std::array<std::vector<std::pair<LinkKey, std::array<std::uint32_t, 4>>>, 2> links;
+  std::array<std::uint64_t, 2> tagged_routes{};
+};
+
+/// One partition's tally, per family, and its most-voted links.
+struct PartitionTally {
+  std::array<CommunityInferenceResult, 2> families;  ///< the counts; rels stay empty
+  std::array<std::vector<std::pair<LinkKey, Relationship>>, 2> typed;  ///< the rels
+  std::vector<VotedLink> top;
+};
+
+/// Cut `links` to the kTopVotedLinks with the most votes.  The order is
+/// total (votes descending, then link), so hash iteration order cannot
+/// leak in.
+void keep_top_voted(std::vector<VotedLink>& links) {
   const std::size_t keep = std::min(links.size(), kTopVotedLinks);
   std::partial_sort(links.begin(), links.begin() + static_cast<std::ptrdiff_t>(keep),
                     links.end(), [](const VotedLink& a, const VotedLink& b) {
                       return a.votes != b.votes ? a.votes > b.votes : a.link < b.link;
                     });
   links.resize(keep);
-  return links;
+}
+
+/// Merge one partition's votes over the shards, tally each family, and keep
+/// the partition's most-voted links (both families summed).  A link's votes
+/// all land in one partition, so every global top link is among its
+/// partition's top links.
+PartitionTally tally_partition(const std::vector<VoteBucket>& column,
+                               const CommunityInferenceParams& params) {
+  std::array<CommunityVotes, 2> merged;
+  for (const VoteBucket& shard : column) {
+    for (std::size_t f = 0; f < merged.size(); ++f) {
+      merged[f].tagged_routes += shard.tagged_routes[f];
+      for (const auto& [key, tallies] : shard.links[f]) {
+        auto& mine = merged[f].votes[key];
+        for (std::size_t i = 0; i < mine.size(); ++i) {
+          mine[i] += tallies[i];
+          merged[f].total_votes += tallies[i];
+        }
+      }
+    }
+  }
+  PartitionTally tally;
+  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> totals;
+  for (std::size_t f = 0; f < merged.size(); ++f) {
+    CommunityInferenceResult& counts = tally.families[f];
+    counts.tagged_routes = merged[f].tagged_routes;
+    counts.total_votes = merged[f].total_votes;
+    counts.links_with_votes = merged[f].votes.size();
+    for (const auto& [key, tallies] : merged[f].votes) {
+      for (const std::uint32_t n : tallies) totals[key] += n;
+      const Relationship rel = tally_link(tallies, params);
+      if (rel == Relationship::Unknown) {
+        ++counts.conflicted_links;
+      } else {
+        tally.typed[f].emplace_back(key, rel);
+      }
+    }
+  }
+  tally.top.reserve(totals.size());
+  for (const auto& [key, votes] : totals) {
+    if (votes > 0) tally.top.push_back({key, votes});
+  }
+  keep_top_voted(tally.top);
+  return tally;
+}
+
+/// Add family `f` of one partition's tally to the whole family's.
+void join_tally(CommunityInferenceResult& whole, const PartitionTally& part, std::size_t f) {
+  whole.links_with_votes += part.families[f].links_with_votes;
+  whole.conflicted_links += part.families[f].conflicted_links;
+  whole.tagged_routes += part.families[f].tagged_routes;
+  whole.total_votes += part.families[f].total_votes;
+  for (const auto& [key, rel] : part.typed[f]) whole.rels.set(key.first, key.second, rel);
 }
 
 }  // namespace
@@ -60,62 +112,87 @@ InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool) {
   InferredRelationships out;
-  const auto v4_routes = rib.routes_of(IpVersion::V4);
-  const auto v6_routes = rib.routes_of(IpVersion::V6);
+  const auto& routes = rib.routes();
 
-  // Phase 1: the per-route community scans of BOTH families are submitted
-  // before either is collected, so their shards interleave on the pool.
-  // Shard count is fixed (kCensusShards) and merges run in shard order, so
-  // any --jobs value reproduces the same vote state bit for bit.
-  auto submit_scans = [&pool, &dict](const std::vector<const mrt::ObservedRoute*>& routes) {
-    std::vector<std::future<CommunityVotes>> futures;
-    for (const ShardRange& range : shard_ranges(routes.size())) {
-      futures.push_back(pool.submit([&routes, &dict, range] {
-        return scan_community_votes(routes, range.begin, range.end, dict);
-      }));
-    }
-    return futures;
-  };
-  std::exception_ptr first_error;
+  // Phase 1: the community scan, both families in one pass.  Each route
+  // shard tallies its votes per link, then buckets the links by partition;
+  // each partition merges, tallies and ranks its links as one pool task,
+  // and the parts join in partition order.
   {
     OBS_SPAN("census.infer.community");
-    auto v4_futures = submit_scans(v4_routes);
-    auto v6_futures = submit_scans(v6_routes);
-
-    const CommunityVotes v4_votes = collect_votes(v4_futures, first_error);
-    const CommunityVotes v6_votes = collect_votes(v6_futures, first_error);
-    if (first_error) std::rethrow_exception(first_error);
-
-    out.top_voted_links = top_voted_links(v4_votes, v6_votes);
-
-    out.community_v4 = tally_community_votes(v4_votes, config.community);
-    out.community_v6 = tally_community_votes(v6_votes, config.community);
+    const auto parts = partitioned_map_reduce(
+        pool, routes.size(),
+        [&routes, &dict](const ShardRange& range) {
+          std::array<CommunityVotes, 2> shard;
+          std::vector<VoteBucket> buckets(kCensusShards);
+          std::vector<Asn> chain;
+          std::vector<LinkVote> votes;
+          for (std::size_t i = range.begin; i < range.end; ++i) {
+            route_votes(routes[i], dict, chain, votes);
+            if (votes.empty()) continue;
+            const std::size_t f = family(routes[i].af);
+            ++buckets[link_partition(votes.front().link)].tagged_routes[f];
+            for (const LinkVote& vote : votes) ++shard[f].votes[vote.link][vote.rel];
+          }
+          for (std::size_t f = 0; f < shard.size(); ++f) {
+            for (const auto& [key, tallies] : shard[f].votes) {
+              buckets[link_partition(key)].links[f].emplace_back(key, tallies);
+            }
+          }
+          return buckets;
+        },
+        [&config](std::size_t, const std::vector<VoteBucket>& column) {
+          return tally_partition(column, config.community);
+        });
+    for (const PartitionTally& part : parts) {
+      join_tally(out.community_v4, part, 0);
+      join_tally(out.community_v6, part, 1);
+      out.top_voted_links.insert(out.top_voted_links.end(), part.top.begin(), part.top.end());
+    }
+    keep_top_voted(out.top_voted_links);
     out.v4 = out.community_v4.rels;
     out.v6 = out.community_v6.rels;
   }
 
-  // Phase 2: one Rosetta pass per family, two independent pool tasks (each
-  // reads only its own family's routes and community map).
+  // Phase 2: Rosetta, both families in each pass.  The learning shards'
+  // samples add; the translation is consolidated once per family on this
+  // thread; the application shards fold first-wins in shard order, which is
+  // route order.  Rosetta fills only links communities left Unknown.
   if (config.use_rosetta) {
     OBS_SPAN("census.infer.rosetta");
-    auto v4_rosetta = pool.submit(
-        [&] { return run_rosetta(v4_routes, dict, out.v4, config.rosetta); });
-    auto v6_rosetta = pool.submit(
-        [&] { return run_rosetta(v6_routes, dict, out.v6, config.rosetta); });
-    try {
-      out.rosetta_v4 = v4_rosetta.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+    const std::array<const RelationshipMap*, 2> known{&out.v4, &out.v6};
+    const auto samples = shard_map(pool, routes.size(), [&](const ShardRange& range) {
+      std::array<RosettaSamples, 2> shard;
+      for (std::size_t i = range.begin; i < range.end; ++i) {
+        const std::size_t f = family(routes[i].af);
+        shard[f].learn(routes[i], dict, *known[f], config.rosetta);
+      }
+      return shard;
+    });
+    std::array<RosettaSamples, 2> merged;
+    for (const auto& shard : samples) {
+      for (std::size_t f = 0; f < merged.size(); ++f) merged[f].merge(shard[f]);
     }
-    try {
-      out.rosetta_v6 = v6_rosetta.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    const std::array<RosettaTranslation, 2> translations{
+        RosettaTranslation(merged[0], config.rosetta),
+        RosettaTranslation(merged[1], config.rosetta)};
 
-    // Deterministic merge: Rosetta fills only links communities left
-    // Unknown, applied v4 first, then v6.
+    const auto hits = shard_map(pool, routes.size(), [&](const ShardRange& range) {
+      std::array<RosettaHits, 2> shard;
+      for (std::size_t i = range.begin; i < range.end; ++i) {
+        const std::size_t f = family(routes[i].af);
+        shard[f].apply(routes[i], dict, *known[f], translations[f], config.rosetta);
+      }
+      return shard;
+    });
+    out.rosetta_v4 = rosetta_result(merged[0], translations[0]);
+    out.rosetta_v6 = rosetta_result(merged[1], translations[1]);
+    for (const auto& shard : hits) {
+      shard[0].fold_into(out.rosetta_v4);
+      shard[1].fold_into(out.rosetta_v6);
+    }
+
+    // Applied v4 first, then v6.
     for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
       auto& rels = af == IpVersion::V4 ? out.v4 : out.v6;
       const auto& rosetta = af == IpVersion::V4 ? out.rosetta_v4 : out.rosetta_v6;
@@ -143,7 +220,7 @@ PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool) 
         }
         return batches;
       },
-      [](const std::vector<PathStore::Batch>& column) {
+      [](std::size_t, const std::vector<PathStore::Batch>& column) {
         PathStore part;
         part.add_batches(column);
         return part;
@@ -161,11 +238,14 @@ CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap&
 
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,
                                       const std::vector<LinkKey>& v6_links, ThreadPool& pool) {
-  const std::unordered_set<LinkKey, LinkKeyHash> v4_set(v4_links.begin(), v4_links.end());
+  // Both vectors are sorted: each v6 shard finds its start in the v4 links
+  // and walks the two in step.
   const auto shards = shard_map(pool, v6_links.size(), [&](const ShardRange& range) {
     std::vector<LinkKey> hits;
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      if (v4_set.count(v6_links[i])) hits.push_back(v6_links[i]);
+    auto v4 = std::lower_bound(v4_links.begin(), v4_links.end(), v6_links[range.begin]);
+    for (std::size_t i = range.begin; i < range.end && v4 != v4_links.end(); ++i) {
+      while (v4 != v4_links.end() && *v4 < v6_links[i]) ++v4;
+      if (v4 != v4_links.end() && *v4 == v6_links[i]) hits.push_back(v6_links[i]);
     }
     return hits;
   });

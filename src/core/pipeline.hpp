@@ -58,11 +58,12 @@ struct InferredRelationships {
   std::vector<VotedLink> top_voted_links;
 };
 
-/// Run the full inference over a collector RIB on `pool` (the per-route
-/// community scans of both address families are in flight together, then
-/// the two Rosetta passes run as one pool task per family).  The pool's
-/// size decides the parallelism; every size gives the same result, and
-/// ThreadPool(1) runs inline.
+/// Run the full inference over a collector RIB on `pool`.  Every pass over
+/// the routes shards on the pool, both families at once: the community scan
+/// (its votes reduce by link partition, each partition tallying and ranking
+/// its own links), then Rosetta's learning and application passes.  The
+/// pool's size decides the parallelism; every size gives the same result,
+/// and ThreadPool(1) runs inline.
 InferredRelationships infer_relationships(const mrt::ObservedRib& rib,
                                           const rpsl::CommunityDictionary& dict,
                                           const InferenceConfig& config, ThreadPool& pool);
@@ -77,9 +78,10 @@ PathStore paths_of(const mrt::ObservedRib& rib, IpVersion af, ThreadPool& pool);
 CoverageStats coverage(const std::vector<LinkKey>& links, const RelationshipMap& rels);
 
 /// Links observed in both families: the v6 links (in their given order)
-/// that also appear among the v4 links.  Pass PathStore::links() of the two
-/// families' path stores.  The scan shards on `pool`; the output order is
-/// the same for any pool size.
+/// that also appear among the v4 links.  Both vectors must be sorted and
+/// distinct, as PathStore::links() returns them.  A merge intersection,
+/// sharded over the v6 links on `pool`; the output is the same for any pool
+/// size.
 std::vector<LinkKey> dual_stack_links(const std::vector<LinkKey>& v4_links,
                                       const std::vector<LinkKey>& v6_links, ThreadPool& pool);
 

@@ -1,8 +1,5 @@
 #include "core/rosetta.hpp"
 
-#include <array>
-#include <unordered_map>
-
 namespace htor::core {
 
 namespace {
@@ -53,46 +50,39 @@ bool has_te_override(const mrt::ObservedRoute& route, Asn asn,
   return false;
 }
 
+/// The samples' and the translation's key for a (vantage, LocPrf) pair.
+std::uint64_t sample_key(Asn vantage, std::uint32_t locpref) {
+  return static_cast<std::uint64_t>(vantage) << 32 | locpref;
+}
+
 }  // namespace
 
-RosettaResult run_rosetta(const std::vector<const mrt::ObservedRoute*>& routes,
-                          const rpsl::CommunityDictionary& dict, const RelationshipMap& known,
-                          const RosettaParams& params) {
-  RosettaResult result;
-
-  // Learning pass: (vantage, locpref) -> per-relationship sample counts.
-  struct Key {
-    Asn vantage;
-    std::uint32_t locpref;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::uint64_t>()(static_cast<std::uint64_t>(k.vantage) << 32 | k.locpref);
-    }
-  };
-  std::unordered_map<Key, std::array<std::uint32_t, 4>, KeyHash> samples;
-
-  for (const mrt::ObservedRoute* route : routes) {
-    if (!route->local_pref) continue;
-    Asn vantage = 0;
-    Asn next = 0;
-    if (!first_hop(*route, vantage, next)) continue;
-    if (params.filter_te && has_te_override(*route, vantage, dict)) {
-      ++result.routes_te_filtered;
-      continue;
-    }
-    const Relationship rel = known.get(vantage, next);
-    if (rel == Relationship::Unknown) continue;
-    const std::size_t idx = rel_index(rel);
-    if (idx >= 4) continue;
-    ++samples[Key{vantage, *route->local_pref}][idx];
+void RosettaSamples::learn(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                           const RelationshipMap& known, const RosettaParams& params) {
+  if (!route.local_pref) return;
+  Asn vantage = 0;
+  Asn next = 0;
+  if (!first_hop(route, vantage, next)) return;
+  if (params.filter_te && has_te_override(route, vantage, dict)) {
+    ++routes_te_filtered;
+    return;
   }
+  const std::size_t idx = rel_index(known.get(vantage, next));
+  if (idx >= 4) return;
+  ++counts[sample_key(vantage, *route.local_pref)][idx];
+}
 
-  // Consolidate: a value is usable when exactly one relationship explains
-  // all its samples and the sample count clears the threshold.
-  std::unordered_map<Key, Relationship, KeyHash> translation;
-  for (const auto& [key, counts] : samples) {
+void RosettaSamples::merge(const RosettaSamples& other) {
+  for (const auto& [key, theirs] : other.counts) {
+    auto& mine = counts[key];
+    for (std::size_t i = 0; i < mine.size(); ++i) mine[i] += theirs[i];
+  }
+  routes_te_filtered += other.routes_te_filtered;
+}
+
+RosettaTranslation::RosettaTranslation(const RosettaSamples& samples,
+                                       const RosettaParams& params) {
+  for (const auto& [key, counts] : samples.counts) {
     std::size_t nonzero = 0;
     std::size_t winner = 0;
     std::uint32_t total = 0;
@@ -104,29 +94,59 @@ RosettaResult run_rosetta(const std::vector<const mrt::ObservedRoute*>& routes,
       }
     }
     if (nonzero != 1) {
-      ++result.values_ambiguous;
+      ++values_ambiguous;
       continue;
     }
     if (total < params.min_samples) continue;
-    translation.emplace(key, rel_from_index(winner));
-    ++result.values_learned;
+    rels.emplace(key, rel_from_index(winner));
   }
+}
 
-  // Application pass: type uncovered first-hop links by translated LocPrf.
-  for (const mrt::ObservedRoute* route : routes) {
-    if (!route->local_pref) continue;
-    Asn vantage = 0;
-    Asn next = 0;
-    if (!first_hop(*route, vantage, next)) continue;
-    if (known.get(vantage, next) != Relationship::Unknown) continue;
-    if (params.filter_te && has_te_override(*route, vantage, dict)) continue;
-    auto it = translation.find(Key{vantage, *route->local_pref});
-    if (it == translation.end()) continue;
-    if (result.first_hop_rels.get(vantage, next) == Relationship::Unknown) {
-      result.first_hop_rels.set(vantage, next, it->second);
+void RosettaHits::apply(const mrt::ObservedRoute& route, const rpsl::CommunityDictionary& dict,
+                        const RelationshipMap& known, const RosettaTranslation& translation,
+                        const RosettaParams& params) {
+  if (!route.local_pref) return;
+  Asn vantage = 0;
+  Asn next = 0;
+  if (!first_hop(route, vantage, next)) return;
+  if (known.get(vantage, next) != Relationship::Unknown) return;
+  if (params.filter_te && has_te_override(route, vantage, dict)) return;
+  const auto it = translation.rels.find(sample_key(vantage, *route.local_pref));
+  if (it == translation.rels.end()) return;
+  if (seen_.insert(LinkKey(vantage, next)).second) first_hops.push_back({{vantage, next}, it->second});
+  ++routes_resolved;
+}
+
+void RosettaHits::fold_into(RosettaResult& result) const {
+  for (const auto& [hop, rel] : first_hops) {
+    if (result.first_hop_rels.get(hop.first, hop.second) == Relationship::Unknown) {
+      result.first_hop_rels.set(hop.first, hop.second, rel);
     }
-    ++result.routes_resolved;
   }
+  result.routes_resolved += routes_resolved;
+}
+
+RosettaResult rosetta_result(const RosettaSamples& samples,
+                             const RosettaTranslation& translation) {
+  RosettaResult result;
+  result.values_learned = translation.rels.size();
+  result.values_ambiguous = translation.values_ambiguous;
+  result.routes_te_filtered = samples.routes_te_filtered;
+  return result;
+}
+
+RosettaResult run_rosetta(const std::vector<const mrt::ObservedRoute*>& routes,
+                          const rpsl::CommunityDictionary& dict, const RelationshipMap& known,
+                          const RosettaParams& params) {
+  RosettaSamples samples;
+  for (const mrt::ObservedRoute* route : routes) samples.learn(*route, dict, known, params);
+  const RosettaTranslation translation(samples, params);
+  RosettaHits hits;
+  for (const mrt::ObservedRoute* route : routes) {
+    hits.apply(*route, dict, known, translation, params);
+  }
+  RosettaResult result = rosetta_result(samples, translation);
+  hits.fold_into(result);
   return result;
 }
 

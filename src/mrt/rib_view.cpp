@@ -1,6 +1,7 @@
 #include "mrt/rib_view.hpp"
 
 #include <algorithm>
+#include <future>
 #include <map>
 
 #include "core/parallel.hpp"
@@ -33,6 +34,38 @@ void ObservedRib::add(ObservedRoute route) {
     ++v6_count_;
   }
   routes_.push_back(std::move(route));
+}
+
+void ObservedRib::append(std::vector<std::vector<ObservedRoute>> shards, ThreadPool& pool) {
+  const std::size_t before = routes_.size();
+  std::size_t total = before;
+  for (const auto& shard : shards) total += shard.size();
+  if (total > routes_.capacity()) {
+    routes_.reserve(before == 0 ? total : std::max(total, 2 * routes_.capacity()));
+  }
+  // Growing within that capacity moves nothing, so shard s moves into its
+  // slots on the pool while this thread constructs the slots of shard s + 1.
+  std::vector<std::future<std::size_t>> v4_counts;
+  v4_counts.reserve(shards.size());
+  for (auto& shard : shards) {
+    const std::size_t offset = routes_.size();
+    routes_.resize(offset + shard.size());
+    v4_counts.push_back(pool.submit([slots = routes_.data() + offset, &shard] {
+      // Taken out of `shards`, so the emptied routes are freed in this task.
+      std::vector<ObservedRoute> routes = std::move(shard);
+      std::size_t v4 = 0;
+      for (std::size_t i = 0; i < routes.size(); ++i) {
+        if (routes[i].af == IpVersion::V4) ++v4;
+        slots[i] = std::move(routes[i]);
+      }
+      return v4;
+    }));
+  }
+  // The tasks only move and free, which cannot throw.
+  std::size_t v4 = 0;
+  for (auto& count : v4_counts) v4 += count.get();
+  v4_count_ += v4;
+  v6_count_ += total - before - v4;
 }
 
 std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {
@@ -78,9 +111,7 @@ ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& poo
   });
 
   ObservedRib rib;
-  for (auto& shard : shards) {
-    for (auto& route : shard) rib.add(std::move(route));
-  }
+  rib.append(std::move(shards), pool);
   return rib;
 }
 

@@ -34,6 +34,13 @@ class ObservedRib {
  public:
   void add(ObservedRoute route);
 
+  /// Append decoded shards, shard 0's routes first.  The table grows once
+  /// (exactly on the first append, geometrically after), then every shard
+  /// moves into its own slots as a pool task that also frees the shard.
+  /// The result is the same as add()ing every route in order, at any pool
+  /// size.
+  void append(std::vector<std::vector<ObservedRoute>> shards, ThreadPool& pool);
+
   const std::vector<ObservedRoute>& routes() const { return routes_; }
 
   /// Routes of one family, by reference into routes().

@@ -78,9 +78,7 @@ void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRi
   }
   {
     OBS_SPAN("ingest.apply");
-    for (auto& shard : shards) {
-      for (auto& route : shard) rib.add(std::move(route));
-    }
+    rib.append(std::move(shards), pool);
   }
   batch.clear();
 }

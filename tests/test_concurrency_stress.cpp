@@ -4,8 +4,9 @@
 // monotonic, every submitted task ran); their real job is to generate the
 // interleavings TSan needs to prove the absence of data races in the
 // daemon's hot-reload state swap, the connection pump's worker hand-off,
-// overlapping shard_map calls on one ThreadPool, pool shutdown ordering,
-// and — since the live subsystem landed — the live feed's cooperative
+// overlapping shard_map calls on one ThreadPool, two whole censuses
+// sharing one two-worker pool, pool shutdown ordering, and — since the
+// live subsystem landed — the live feed's cooperative
 // shutdown and serve --follow's epoch swap_index() racing direct handle()
 // storms.  Removing the
 // state_mutex_ lock around QueryDaemon's shared_ptr swap makes
@@ -33,9 +34,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/census_report.hpp"
 #include "core/hybrid.hpp"
 #include "core/parallel.hpp"
 #include "core/pipeline.hpp"
+#include "core/snapshot_bridge.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
 #include "live/follow.hpp"
@@ -668,6 +671,37 @@ TEST(ThreadPoolStress, ShardExceptionsDrainBeforeRethrow) {
     }
     EXPECT_TRUE(threw);
   }
+}
+
+// Two batch censuses share one two-worker pool, each from its own thread,
+// several times over.  Every stage waits for its tasks on the calling
+// thread; a pool task that waited on a future of its own pool would, with
+// both workers taken by such tasks, hang here.  Each census must equal a
+// jobs-1 census, byte for byte.
+TEST(ThreadPoolStress, TwoCensusesShareATwoWorkerPool) {
+  const auto& w = live_world();
+  const auto census_bytes = [&w](ThreadPool& pool) {
+    const auto rib = core::load_rib(w.rib_path, pool);
+    const auto report = core::run_census(rib, w.dict, core::InferenceConfig{}, pool);
+    return snapshot::Writer::encode(core::to_snapshot(report, "shared-pool", 0));
+  };
+  ThreadPool inline_pool(1);
+  const auto reference = census_bytes(inline_pool);
+
+  ThreadPool pool(2);
+  constexpr int kCallers = 2;
+  constexpr int kRounds = 3;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        if (census_bytes(pool) != reference) wrong.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

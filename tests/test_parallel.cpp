@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <iterator>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -340,33 +342,6 @@ TEST_F(ParallelFixture, DualStackLinksMatchesSetIntersection) {
   }
 }
 
-// infer_relationships shards its community scan; infer_from_communities is
-// one unsharded scan plus the tally.  Same votes, same outcome.
-TEST_F(ParallelFixture, CommunityInferenceMatchesSingleScan) {
-  const auto reference = core::infer_from_communities(rib().routes_of(IpVersion::V6), dict());
-  for (std::size_t jobs : {1u, 4u}) {
-    ThreadPool pool(jobs);
-    const auto sharded = core::infer_relationships(rib(), dict(), {}, pool).community_v6;
-    EXPECT_EQ(sharded.links_with_votes, reference.links_with_votes);
-    EXPECT_EQ(sharded.conflicted_links, reference.conflicted_links);
-    EXPECT_EQ(sharded.tagged_routes, reference.tagged_routes);
-    EXPECT_EQ(sharded.total_votes, reference.total_votes);
-    expect_same_rels(sharded.rels, reference.rels);
-  }
-}
-
-TEST_F(ParallelFixture, InferRelationshipsMatchesAcrossJobCounts) {
-  ThreadPool inline_pool;
-  const auto base = core::infer_relationships(rib(), dict(), {}, inline_pool);
-  ThreadPool pool(4);
-  const auto sharded = core::infer_relationships(rib(), dict(), {}, pool);
-
-  expect_same_rels(sharded.v4, base.v4);
-  expect_same_rels(sharded.v6, base.v6);
-  EXPECT_EQ(sharded.rosetta_v6.values_learned, base.rosetta_v6.values_learned);
-  EXPECT_EQ(sharded.rosetta_v6.routes_resolved, base.rosetta_v6.routes_resolved);
-}
-
 TEST_F(ParallelFixture, ValleyCensusMatchesAcrossJobCounts) {
   ThreadPool inline_pool;
   const auto paths = core::paths_of(rib(), IpVersion::V6, inline_pool);
@@ -430,48 +405,265 @@ TEST_F(ParallelFixture, ShuffledRibGivesTheSameSnapshotBytes) {
   }
 }
 
+// ------------------------------------------- oracles written in the test
+
+/// A RIB with fewer routes than kCensusShards, both families, every route
+/// tagged: the stages run on fewer shards than partitions.
+const mrt::ObservedRib& small_rib() {
+  static const mrt::ObservedRib instance = [] {
+    mrt::ObservedRib rib;
+    for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+      std::size_t taken = 0;
+      for (const auto& route : ParallelFixture::rib().routes()) {
+        if (route.af != af || route.communities.empty() || !route.local_pref) continue;
+        rib.add(route);
+        if (++taken == 10) break;
+      }
+    }
+    return rib;
+  }();
+  return instance;
+}
+
+/// The RIBs every oracle below runs on.
+std::vector<std::pair<std::string, const mrt::ObservedRib*>> oracle_ribs() {
+  static const mrt::ObservedRib empty;
+  return {{"fixture", &ParallelFixture::rib()}, {"small", &small_rib()}, {"empty", &empty}};
+}
+
+std::size_t family(IpVersion af) { return af == IpVersion::V4 ? 0 : 1; }
+
+/// Community inference by brute force: each family's votes from one
+/// unsharded scan, every link typed by the majority rule, and the links
+/// ranked by their votes over both families.
+struct CommunityOracle {
+  std::array<core::CommunityInferenceResult, 2> families;
+  std::vector<core::VotedLink> top;
+};
+
+CommunityOracle community_oracle(const mrt::ObservedRib& rib,
+                                 const rpsl::CommunityDictionary& dict) {
+  constexpr std::array<Relationship, 4> kRels{Relationship::P2C, Relationship::C2P,
+                                              Relationship::P2P, Relationship::S2S};
+  const core::CommunityInferenceParams params;
+  CommunityOracle oracle;
+  std::map<LinkKey, std::uint64_t> totals;
+  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    const auto routes = rib.routes_of(af);
+    const auto votes = core::scan_community_votes(routes, 0, routes.size(), dict);
+    core::CommunityInferenceResult& result = oracle.families[family(af)];
+    result.tagged_routes = votes.tagged_routes;
+    result.total_votes = votes.total_votes;
+    result.links_with_votes = votes.votes.size();
+    for (const auto& [link, tallies] : votes.votes) {
+      const std::uint64_t total = std::accumulate(tallies.begin(), tallies.end(), std::uint64_t{0});
+      totals[link] += total;
+      const auto best = std::max_element(tallies.begin(), tallies.end());
+      if (std::count(tallies.begin(), tallies.end(), *best) > 1 || *best < params.min_votes ||
+          *best < params.majority * static_cast<double>(total)) {
+        ++result.conflicted_links;
+        continue;
+      }
+      result.rels.set(link.first, link.second, kRels[best - tallies.begin()]);
+    }
+  }
+  for (const auto& [link, votes] : totals) {
+    if (votes > 0) oracle.top.push_back({link, votes});
+  }
+  // The map lists links ascending, so a stable sort by votes breaks ties by link.
+  std::stable_sort(oracle.top.begin(), oracle.top.end(),
+                   [](const core::VotedLink& a, const core::VotedLink& b) {
+                     return a.votes > b.votes;
+                   });
+  oracle.top.resize(std::min(oracle.top.size(), core::kTopVotedLinks));
+  return oracle;
+}
+
+/// Rosetta as one plain loop per pass: learn every (vantage, LocPrf)
+/// sample, keep the values one relationship explains, then type the first
+/// hops communities left Unknown.
+core::RosettaResult rosetta_oracle(const std::vector<const mrt::ObservedRoute*>& routes,
+                                   const rpsl::CommunityDictionary& dict,
+                                   const RelationshipMap& known) {
+  const core::RosettaParams params;
+  const auto first_hop = [](const mrt::ObservedRoute& route) -> std::optional<LinkKey> {
+    for (Asn hop : route.as_path) {
+      if (hop != route.as_path.front()) return LinkKey(route.as_path.front(), hop);
+    }
+    return std::nullopt;
+  };
+  const auto te_filtered = [&dict](const mrt::ObservedRoute& route) {
+    for (bgp::Community c : route.communities) {
+      if (c == bgp::kNoExport || c == bgp::kNoAdvertise) return true;
+      const rpsl::CommunityMeaning* meaning = dict.lookup(c);
+      if (c.asn() == route.as_path.front() && meaning != nullptr &&
+          meaning->kind == rpsl::CommunityTagKind::SetLocPref) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  core::RosettaResult result;
+  std::map<std::pair<Asn, std::uint32_t>, std::map<Relationship, std::uint32_t>> samples;
+  for (const mrt::ObservedRoute* route : routes) {
+    if (!route->local_pref || !first_hop(*route)) continue;
+    if (te_filtered(*route)) {
+      ++result.routes_te_filtered;
+      continue;
+    }
+    const Asn vantage = route->as_path.front();
+    const LinkKey hop = *first_hop(*route);
+    const Asn next = hop.first == vantage ? hop.second : hop.first;
+    const Relationship rel = known.get(vantage, next);
+    if (rel != Relationship::Unknown) ++samples[{vantage, *route->local_pref}][rel];
+  }
+  std::map<std::pair<Asn, std::uint32_t>, Relationship> translation;
+  for (const auto& [value, counts] : samples) {
+    if (counts.size() != 1) {
+      ++result.values_ambiguous;
+    } else if (counts.begin()->second >= params.min_samples) {
+      translation[value] = counts.begin()->first;
+      ++result.values_learned;
+    }
+  }
+  for (const mrt::ObservedRoute* route : routes) {
+    if (!route->local_pref || !first_hop(*route)) continue;
+    const Asn vantage = route->as_path.front();
+    const LinkKey hop = *first_hop(*route);
+    const Asn next = hop.first == vantage ? hop.second : hop.first;
+    if (known.get(vantage, next) != Relationship::Unknown || te_filtered(*route)) continue;
+    const auto it = translation.find({vantage, *route->local_pref});
+    if (it == translation.end()) continue;
+    if (result.first_hop_rels.get(vantage, next) == Relationship::Unknown) {
+      result.first_hop_rels.set(vantage, next, it->second);
+    }
+    ++result.routes_resolved;
+  }
+  return result;
+}
+
+void expect_same_tally(const core::CommunityInferenceResult& got,
+                       const core::CommunityInferenceResult& want) {
+  EXPECT_EQ(got.links_with_votes, want.links_with_votes);
+  EXPECT_EQ(got.conflicted_links, want.conflicted_links);
+  EXPECT_EQ(got.tagged_routes, want.tagged_routes);
+  EXPECT_EQ(got.total_votes, want.total_votes);
+  expect_same_rels(got.rels, want.rels);
+}
+
+void expect_same_rosetta(const core::RosettaResult& got, const core::RosettaResult& want) {
+  EXPECT_EQ(got.values_learned, want.values_learned);
+  EXPECT_EQ(got.values_ambiguous, want.values_ambiguous);
+  EXPECT_EQ(got.routes_te_filtered, want.routes_te_filtered);
+  EXPECT_EQ(got.routes_resolved, want.routes_resolved);
+  expect_same_rels(got.first_hop_rels, want.first_hop_rels);
+}
+
+/// The partitioned vote tally and the sharded Rosetta passes against the
+/// plain loops above at jobs 1, 2 and 4: the same tallies, top-voted links,
+/// Rosetta counts and first hops, and final maps.  Returns the oracle's
+/// Rosetta results, v4 then v6.
+std::array<core::RosettaResult, 2> expect_inference_matches_plain_loops(
+    const mrt::ObservedRib& rib, const rpsl::CommunityDictionary& dict) {
+  const CommunityOracle community = community_oracle(rib, dict);
+  std::array<core::RosettaResult, 2> rosetta;
+  std::array<RelationshipMap, 2> final_rels;
+  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
+    const std::size_t f = family(af);
+    rosetta[f] = rosetta_oracle(rib.routes_of(af), dict, community.families[f].rels);
+    final_rels[f] = community.families[f].rels;
+    rosetta[f].first_hop_rels.for_each([&final_rels, f](const LinkKey& key, Relationship rel) {
+      if (!final_rels[f].contains(key)) final_rels[f].set(key.first, key.second, rel);
+    });
+  }
+  for (std::size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    ThreadPool pool(jobs);
+    const auto inferred = core::infer_relationships(rib, dict, {}, pool);
+    expect_same_tally(inferred.community_v4, community.families[0]);
+    expect_same_tally(inferred.community_v6, community.families[1]);
+    EXPECT_EQ(inferred.top_voted_links, community.top);
+    expect_same_rosetta(inferred.rosetta_v4, rosetta[0]);
+    expect_same_rosetta(inferred.rosetta_v6, rosetta[1]);
+    expect_same_rels(inferred.v4, final_rels[0]);
+    expect_same_rels(inferred.v6, final_rels[1]);
+  }
+  return rosetta;
+}
+
+TEST_F(ParallelFixture, InferenceMatchesPlainLoops) {
+  for (const auto& [name, rib] : oracle_ribs()) {
+    SCOPED_TRACE(name);
+    const auto rosetta = expect_inference_matches_plain_loops(*rib, dict());
+    if (name == "fixture") {
+      EXPECT_GT(rosetta[0].routes_resolved + rosetta[1].routes_resolved, 0u);
+      EXPECT_GT(rosetta[0].routes_te_filtered + rosetta[1].routes_te_filtered, 0u);
+    }
+  }
+}
+
+// One untyped first hop that two LocPrf values translate differently, its
+// routes in the first and the last of 32 shards: the first route's
+// relationship wins, as in one pass over the routes.
+TEST(ParallelRosetta, FirstHopKeepsTheFirstRoutesRelationshipAcrossShards) {
+  rpsl::CommunityDictionary dict;
+  dict.add(bgp::Community(100, 1), {rpsl::CommunityTagKind::FromCustomer, 0});
+  dict.add(bgp::Community(100, 2), {rpsl::CommunityTagKind::FromPeer, 0});
+  const auto route = [](std::vector<Asn> path, std::vector<bgp::Community> communities,
+                        std::optional<std::uint32_t> locpref) {
+    mrt::ObservedRoute r;
+    r.peer_asn = path.front();
+    r.as_path = std::move(path);
+    r.communities = std::move(communities);
+    r.local_pref = locpref;
+    return r;
+  };
+  mrt::ObservedRib rib;
+  rib.add(route({100, 299}, {}, 120));
+  for (Asn origin : {201u, 202u, 203u}) rib.add(route({100, origin}, {bgp::Community(100, 1)}, 120));
+  for (Asn origin : {211u, 212u, 213u}) rib.add(route({100, origin}, {bgp::Community(100, 2)}, 80));
+  for (Asn origin = 400; origin < 460; ++origin) rib.add(route({300, origin}, {}, std::nullopt));
+  rib.add(route({100, 299}, {}, 80));
+  ASSERT_EQ(core::shard_ranges(rib.size()).size(), core::kCensusShards);
+
+  const auto rosetta = expect_inference_matches_plain_loops(rib, dict);
+  EXPECT_EQ(rosetta[0].first_hop_rels.get(100, 299), Relationship::P2C);
+  EXPECT_EQ(rosetta[0].routes_resolved, 2u);
+}
+
 // The dataset entity counts and the most-voted links are exact values of
 // the run: every run_census call in the process gives the same ones, at
 // any job count, and they equal a brute force over every hop of every path
 // and an unsharded vote scan.
 TEST_F(ParallelFixture, DatasetEntitiesMatchBruteForce) {
-  std::unordered_set<Prefix, PrefixHash> prefixes;
-  std::unordered_set<Asn> ases;
-  std::unordered_set<LinkKey, LinkKeyHash> links;
-  for (const auto& route : rib().routes()) {
-    prefixes.insert(route.prefix);
-    const auto& path = route.as_path;
-    ases.insert(path.begin(), path.end());
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (path[i] != path[i + 1]) links.emplace(path[i], path[i + 1]);
+  for (const auto& [name, rib] : oracle_ribs()) {
+    std::unordered_set<Prefix, PrefixHash> prefixes;
+    std::unordered_set<Asn> ases;
+    std::unordered_set<LinkKey, LinkKeyHash> links;
+    for (const auto& route : rib->routes()) {
+      prefixes.insert(route.prefix);
+      const auto& path = route.as_path;
+      ases.insert(path.begin(), path.end());
+      for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        if (path[i] != path[i + 1]) links.emplace(path[i], path[i + 1]);
+      }
     }
-  }
-  std::unordered_map<LinkKey, std::uint64_t, LinkKeyHash> vote_sums;
-  for (IpVersion af : {IpVersion::V4, IpVersion::V6}) {
-    const auto routes = rib().routes_of(af);
-    const auto votes = core::scan_community_votes(routes, 0, routes.size(), dict());
-    for (const auto& [key, tallies] : votes.votes) {
-      for (const std::uint32_t n : tallies) vote_sums[key] += n;
+    const std::vector<core::VotedLink> top = community_oracle(*rib, dict()).top;
+    if (name == "fixture") {
+      ASSERT_EQ(top.size(), core::kTopVotedLinks);
     }
-  }
-  std::vector<core::VotedLink> top;
-  for (const auto& [key, votes] : vote_sums) {
-    if (votes > 0) top.push_back({key, votes});
-  }
-  std::sort(top.begin(), top.end(), [](const core::VotedLink& a, const core::VotedLink& b) {
-    return a.votes != b.votes ? a.votes > b.votes : a.link < b.link;
-  });
-  top.resize(std::min(top.size(), core::kTopVotedLinks));
-  ASSERT_EQ(top.size(), core::kTopVotedLinks);
 
-  for (std::size_t jobs : {1u, 4u}) {
-    ThreadPool pool(jobs);
-    for (int run = 0; run < 2; ++run) {
-      const auto report = core::run_census(rib(), dict(), {}, pool);
-      EXPECT_EQ(report.ases, ases.size()) << "jobs=" << jobs << " run=" << run;
-      EXPECT_EQ(report.prefixes, prefixes.size()) << "jobs=" << jobs << " run=" << run;
-      EXPECT_EQ(report.v4_links + report.v6_links - report.dual_links, links.size());
-      EXPECT_EQ(report.inferred.top_voted_links, top) << "jobs=" << jobs << " run=" << run;
+    for (std::size_t jobs : {1u, 2u, 4u}) {
+      ThreadPool pool(jobs);
+      for (int run = 0; run < 2; ++run) {
+        SCOPED_TRACE(name + " jobs=" + std::to_string(jobs) + " run=" + std::to_string(run));
+        const auto report = core::run_census(*rib, dict(), {}, pool);
+        EXPECT_EQ(report.ases, ases.size());
+        EXPECT_EQ(report.prefixes, prefixes.size());
+        EXPECT_EQ(report.v4_links + report.v6_links - report.dual_links, links.size());
+        EXPECT_EQ(report.inferred.top_voted_links, top);
+      }
     }
   }
 }

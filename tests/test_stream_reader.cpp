@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <variant>
 
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
@@ -130,20 +131,48 @@ TEST(MrtStreamReader, GarbageLengthFieldThrows) {
 // the streaming one per fixed record batch, the in-memory one over a fixed
 // shard plan — so each is the oracle for the other's merge order; batch 1
 // makes every streaming merge trivial.
+/// The routes of `bytes` joined without the library's placement code: every
+/// record in file order, each RIB record against the peer table before it.
+std::vector<ObservedRoute> plain_join(const std::vector<std::uint8_t>& bytes) {
+  std::vector<ObservedRoute> routes;
+  const PeerIndexTable* peers = nullptr;
+  const std::vector<Record> records = read_all(bytes);
+  for (const Record& record : records) {
+    if (const auto* table = std::get_if<PeerIndexTable>(&record.body)) peers = table;
+    if (const auto* rib = std::get_if<RibPrefixRecord>(&record.body)) {
+      if (peers == nullptr) {
+        ADD_FAILURE() << "RIB record before any peer table";
+        return {};
+      }
+      join_rib_record(*rib, *peers, routes);
+    }
+  }
+  return routes;
+}
+
+// Both ingest paths place routes through ObservedRib::append, so each is
+// checked against a join built here, route by route and in order.
 TEST(RibFromStream, IdenticalToInMemoryJoin) {
   const auto& bytes = sample_dump();
   const std::string path = write_temp(bytes, "stream_equiv.mrt");
+  const std::vector<ObservedRoute> reference = plain_join(bytes);
+  std::size_t reference_v4 = 0;
+  for (const ObservedRoute& route : reference) reference_v4 += route.af == IpVersion::V4;
+  ASSERT_GT(reference_v4, 0u);
+  ASSERT_LT(reference_v4, reference.size());
 
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ThreadPool pool(jobs);
-    const ObservedRib reference = rib_from_records(read_all(bytes), pool);
+    const ObservedRib in_memory = rib_from_records(read_all(bytes), pool);
+    EXPECT_EQ(in_memory.routes(), reference) << "jobs=" << jobs;
+    EXPECT_EQ(in_memory.size_of(IpVersion::V4), reference_v4) << "jobs=" << jobs;
     for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
       const ObservedRib streamed = rib_from_stream(path, pool, batch);
       ASSERT_EQ(streamed.size(), reference.size()) << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(streamed.size_of(IpVersion::V4), reference.size_of(IpVersion::V4));
-      EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size_of(IpVersion::V6));
+      EXPECT_EQ(streamed.size_of(IpVersion::V4), reference_v4);
+      EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size() - reference_v4);
       for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(streamed.routes()[i], reference.routes()[i])
+        ASSERT_EQ(streamed.routes()[i], reference[i])
             << "route " << i << " jobs=" << jobs << " batch=" << batch;
       }
     }
