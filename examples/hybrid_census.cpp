@@ -10,7 +10,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 #include "util/strings.hpp"
@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
     writer.write(record);
   }
   ThreadPool pool;
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  mrt::MrtStreamReader stream(writer.data());
+  const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   const auto census = core::run_census(rib, dict, {}, pool);
 

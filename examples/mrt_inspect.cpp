@@ -10,7 +10,7 @@
 
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
-#include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 
 namespace {
@@ -44,13 +44,12 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) path = demo_file();
 
-  const auto data = mrt::load_file(path);
-  const auto records = mrt::read_all(data);
-  std::cout << path << ": " << data.size() << " bytes, " << records.size() << " records\n";
-
+  mrt::MrtStreamReader stream(path);
   if (routes_mode) {
     ThreadPool pool;
-    const auto rib = mrt::rib_from_records(records, pool);
+    const auto rib = mrt::rib_from_stream(stream, pool);
+    std::cout << path << ": " << stream.source_size() << " bytes, " << stream.records_read()
+              << " records\n";
     for (const auto& route : rib.routes()) {
       std::cout << route.prefix.to_string() << " via AS" << route.peer_asn << " path [";
       for (std::size_t i = 0; i < route.as_path.size(); ++i) {
@@ -68,12 +67,12 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::size_t shown = 0;
-  for (const auto& record : records) {
-    if (shown++ > 20) {
-      std::cout << "... (" << records.size() - 20 << " more records; use --routes)\n";
-      break;
-    }
+  // Stream the records: print the first 20, count the rest.
+  std::cout << path << ": " << stream.source_size() << " bytes\n";
+  constexpr std::uint64_t kShown = 20;
+  while (const auto raw = stream.next()) {
+    const auto record = mrt::decode_record_body(raw->timestamp, raw->type, raw->subtype, raw->body);
+    if (stream.records_read() > kShown) continue;
     std::cout << "t=" << record.timestamp << " ";
     if (const auto* pit = std::get_if<mrt::PeerIndexTable>(&record.body)) {
       std::cout << "PEER_INDEX_TABLE view='" << pit->view_name << "' peers="
@@ -88,10 +87,15 @@ int main(int argc, char** argv) {
     } else if (std::get_if<mrt::Bgp4mpMessage>(&record.body)) {
       std::cout << "BGP4MP_MESSAGE\n";
     } else {
-      const auto& raw = std::get<mrt::RawRecord>(record.body);
-      std::cout << "raw type=" << raw.type << " subtype=" << raw.subtype << " len="
-                << raw.payload.size() << "\n";
+      const auto& raw_record = std::get<mrt::RawRecord>(record.body);
+      std::cout << "raw type=" << raw_record.type << " subtype=" << raw_record.subtype
+                << " len=" << raw_record.payload.size() << "\n";
     }
   }
+  std::cout << stream.records_read() << " records";
+  if (stream.records_read() > kShown) {
+    std::cout << " (" << stream.records_read() - kShown << " not shown; use --routes)";
+  }
+  std::cout << "\n";
   return 0;
 }

@@ -1,34 +1,19 @@
 #include "live/follow.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "rpsl/object.hpp"
+#include "mrt/stream_reader.hpp"
 #include "snapshot/query.hpp"
-#include "util/error.hpp"
 
 namespace htor::live {
 
 namespace {
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "'");
-  std::ostringstream out;
-  out << in.rdbuf();
-  if (in.bad()) throw Error("read from '" + path + "' failed");
-  return out.str();
-}
-
-rpsl::CommunityDictionary load_dictionary(const std::string& irr_path) {
-  return rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
-}
-
 IncrementalCensus build_census(const std::string& rib_path, ThreadPool& pool,
                                const rpsl::CommunityDictionary& dict,
                                const core::InferenceConfig& inference) {
-  return IncrementalCensus(core::load_rib(rib_path, pool), dict, inference, rib_path);
+  return IncrementalCensus(core::load_rib(rib_path, pool), dict, inference, rib_path,
+                           mrt::rib_epoch(rib_path));
 }
 
 /// The message a failure carries, for the degraded /v1/healthz body.
@@ -49,7 +34,7 @@ FollowService::FollowService(const std::string& rib_path, const std::string& irr
     : update_paths_(std::move(update_paths)),
       config_(config),
       census_pool_(config.jobs),
-      dict_(load_dictionary(irr_path)),
+      dict_(rpsl::load_dictionary(irr_path)),
       census_(build_census(rib_path, census_pool_, dict_, config.inference)),
       // Epoch 0 is the seed RIB's census: the daemon is never up without a
       // servable index, exactly like the snapshot-file constructor.

@@ -2,7 +2,9 @@
 // `hybridtor serve --follow` and the live e2e tests.
 //
 //   1. Load the seed RIB and IRR dictionary, build the IncrementalCensus,
-//      cut epoch 0, and start a QueryDaemon over its in-memory QueryIndex.
+//      cut epoch 0 (stamped with mrt::rib_epoch, so its snapshot equals the
+//      batch `census --snapshot-out` one), and start a QueryDaemon over its
+//      in-memory QueryIndex.
 //   2. Run the live Pipeline over the update files on a background thread.
 //   3. On every cut epoch, encode the census snapshot to a fresh QueryIndex
 //      and swap_index() it into the daemon — PR 7's read-validate-swap with

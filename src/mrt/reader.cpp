@@ -1,6 +1,8 @@
 #include "mrt/reader.hpp"
 
 #include "bgp/nlri.hpp"
+#include "mrt/stream_reader.hpp"
+#include "util/bytes.hpp"
 
 namespace htor::mrt {
 
@@ -61,15 +63,6 @@ Bgp4mpMessage decode_bgp4mp(ByteReader& r, bool as4) {
 
 }  // namespace
 
-std::optional<Record> MrtReader::next() {
-  if (reader_.exhausted()) return std::nullopt;
-  const std::uint32_t timestamp = reader_.u32();
-  const std::uint16_t type = reader_.u16();
-  const std::uint16_t subtype = reader_.u16();
-  const std::uint32_t length = reader_.u32();
-  return decode_record_body(timestamp, type, subtype, reader_.bytes(length));
-}
-
 Record decode_record_body(std::uint32_t timestamp, std::uint16_t type, std::uint16_t subtype,
                           std::span<const std::uint8_t> body_bytes) {
   Record record;
@@ -110,12 +103,12 @@ Record decode_record_body(std::uint32_t timestamp, std::uint16_t type, std::uint
   return record;
 }
 
-std::vector<std::uint8_t> load_file(const std::string& path) { return load_bytes(path); }
-
 std::vector<Record> read_all(std::span<const std::uint8_t> data) {
-  MrtReader reader(data);
+  MrtStreamReader stream(data);
   std::vector<Record> out;
-  while (auto rec = reader.next()) out.push_back(std::move(*rec));
+  while (const auto raw = stream.next()) {
+    out.push_back(decode_record_body(raw->timestamp, raw->type, raw->subtype, raw->body));
+  }
   return out;
 }
 

@@ -2,9 +2,10 @@
 // (vantage peer, prefix), with the attributes the paper's method consumes —
 // the AS path, the communities, and the peer's LocPrf when it exports one.
 //
-// rib_from_records() performs the PEER_INDEX_TABLE join that turns raw MRT
-// TABLE_DUMP_V2 records into observed routes; records_from_rib() is the
-// inverse and is what the synthetic collector uses to emit dumps.
+// join_rib_record() is the PEER_INDEX_TABLE join that turns one TABLE_DUMP_V2
+// RIB record into observed routes (rib_from_stream() in stream_reader.hpp
+// runs it over a whole dump); records_from_rib() is the inverse and is what
+// the synthetic collector uses to emit dumps.
 #pragma once
 
 #include <cstdint>
@@ -57,18 +58,9 @@ class ObservedRib {
 
 /// Join one RIB record's entries against its governing peer table, appending
 /// one ObservedRoute per entry (in entry order).  Throws DecodeError when an
-/// entry's peer index is out of range.  This is the per-record core shared
-/// by rib_from_records() and the streaming rib_from_stream() path.
+/// entry's peer index is out of range.  AS_SETs are flattened into the path.
 void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers,
                      std::vector<ObservedRoute>& out);
-
-/// Join RIB records against their PEER_INDEX_TABLE.  Records before the
-/// first peer-index table are rejected (DecodeError), as are entries whose
-/// peer index is out of range.  AS_SETs are flattened into the path.  A
-/// sequential pre-scan maps every record to its governing peer-index table,
-/// then the per-record entry joins run on `pool` and merge in shard order —
-/// the resulting RIB is the same for any pool size.
-ObservedRib rib_from_records(const std::vector<Record>& records, ThreadPool& pool);
 
 /// Serialize an observed RIB back to MRT TABLE_DUMP_V2 records (one
 /// PEER_INDEX_TABLE followed by one RIB record per prefix, entries grouped).

@@ -1,5 +1,6 @@
 #include "mrt/stream_reader.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -12,6 +13,9 @@
 namespace htor::mrt {
 
 namespace {
+
+/// The file source's stream buffer.
+constexpr std::size_t kIoBufferBytes = 256 * 1024;
 
 /// Registry handles for the ingest metric catalogue (README "Observability").
 /// Resolved once — next() runs per record, so per-call name lookups would be
@@ -85,34 +89,49 @@ void flush_batch(std::vector<PendingRecord>& batch, ThreadPool& pool, ObservedRi
 
 }  // namespace
 
-MrtStreamReader::MrtStreamReader(const std::string& path, std::size_t io_buffer_bytes)
-    : path_(path), io_buffer_(io_buffer_bytes > 0 ? io_buffer_bytes : kDefaultIoBuffer) {
+MrtStreamReader::MrtStreamReader(const std::string& path)
+    : source_("'" + path + "'"), io_buffer_(kIoBufferBytes) {
   // pubsetbuf must precede open() to take effect portably.
   in_.rdbuf()->pubsetbuf(io_buffer_.data(), static_cast<std::streamsize>(io_buffer_.size()));
   in_.open(path, std::ios::binary);
-  if (!in_) throw Error("cannot open '" + path + "'");
+  if (!in_) throw Error("cannot open " + source_);
   in_.seekg(0, std::ios::end);
   const std::streamoff size = in_.tellg();
-  if (size < 0) throw Error("cannot determine size of '" + path + "'");
-  file_size_ = static_cast<std::uint64_t>(size);
+  if (size < 0) throw Error("cannot determine size of " + source_);
+  size_ = static_cast<std::uint64_t>(size);
   in_.seekg(0);
+}
+
+MrtStreamReader::MrtStreamReader(std::span<const std::uint8_t> bytes)
+    : source_("the buffer"), buffer_(bytes), size_(bytes.size()) {}
+
+std::size_t MrtStreamReader::read(std::uint8_t* out, std::size_t n) {
+  if (!in_.is_open()) {
+    const std::size_t got = static_cast<std::size_t>(std::min<std::uint64_t>(n, size_ - pos_));
+    std::copy_n(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_), got, out);
+    pos_ += got;
+    return got;
+  }
+  // lint: allow(raw-cast) istream::read takes char*; the bytes are decoded
+  // through ByteReader afterwards, never via pointer casts
+  in_.read(reinterpret_cast<char*>(out), static_cast<std::streamsize>(n));
+  const auto got = static_cast<std::size_t>(in_.gcount());
+  if (got < n && !in_.eof()) {
+    throw Error("read from " + source_ + " failed at byte " + std::to_string(pos_ + got));
+  }
+  pos_ += got;
+  return got;
 }
 
 std::optional<RawFramedRecord> MrtStreamReader::next() {
   constexpr std::size_t kHeaderBytes = 12;
   std::uint8_t header[kHeaderBytes];
-  // lint: allow(raw-cast) istream::read takes char*; the bytes are decoded
-  // through ByteReader afterwards, never via pointer casts
-  in_.read(reinterpret_cast<char*>(header), kHeaderBytes);
-  const std::streamsize got = in_.gcount();
-  if (got == 0 && in_.eof()) return std::nullopt;  // clean end-of-file
-  if (got < static_cast<std::streamsize>(kHeaderBytes)) {
-    if (in_.eof()) {
-      IngestMetrics::get().decode_error("truncated_header").inc();
-      throw DecodeError("truncated MRT record header at byte " + std::to_string(bytes_) +
-                        " of '" + path_ + "': " + std::to_string(got) + " of 12 bytes");
-    }
-    throw Error("read from '" + path_ + "' failed at byte " + std::to_string(bytes_));
+  const std::size_t got = read(header, kHeaderBytes);
+  if (got == 0) return std::nullopt;  // clean end of the source
+  if (got < kHeaderBytes) {
+    IngestMetrics::get().decode_error("truncated_header").inc();
+    throw DecodeError("truncated MRT record header at byte " + std::to_string(bytes_) + " of " +
+                      source_ + ": " + std::to_string(got) + " of 12 bytes");
   }
 
   ByteReader hdr(std::span<const std::uint8_t>(header, kHeaderBytes));
@@ -122,36 +141,31 @@ std::optional<RawFramedRecord> MrtStreamReader::next() {
   rec.subtype = hdr.u16();
   const std::uint32_t length = hdr.u32();
 
-  // Validate framing against the file size before allocating: a corrupt
-  // length field must fail cleanly, not over-allocate or short-read.  The
-  // size was snapshotted at open, so a file that grows underneath us (a
-  // collector still appending) reads as truncated at the snapshot, not as
-  // an unsigned underflow that would disable this guard.
+  // Validate framing against the source size before allocating: a corrupt
+  // length field must fail cleanly, not over-allocate or short-read.  A
+  // file's size was snapshotted at open, so a file that grows underneath us
+  // (a collector still appending) reads as truncated at the snapshot, not
+  // as an unsigned underflow that would disable this guard.
   const std::uint64_t body_start = bytes_ + kHeaderBytes;
-  if (body_start > file_size_) {
+  if (body_start > size_) {
     IngestMetrics::get().decode_error("header_overrun").inc();
-    throw DecodeError("MRT record header at byte " + std::to_string(bytes_) + " of '" + path_ +
-                      "' extends past the file size observed at open (" +
-                      std::to_string(file_size_) + " bytes); file changed while reading?");
+    throw DecodeError("MRT record header at byte " + std::to_string(bytes_) + " of " + source_ +
+                      " extends past the size observed at open (" + std::to_string(size_) +
+                      " bytes); file changed while reading?");
   }
-  if (length > file_size_ - body_start) {
+  if (length > size_ - body_start) {
     IngestMetrics::get().decode_error("body_overrun").inc();
-    throw DecodeError("MRT record at byte " + std::to_string(bytes_) + " of '" + path_ +
-                      "' declares " + std::to_string(length) + " body bytes but only " +
-                      std::to_string(file_size_ - body_start) + " remain");
+    throw DecodeError("MRT record at byte " + std::to_string(bytes_) + " of " + source_ +
+                      " declares " + std::to_string(length) + " body bytes but only " +
+                      std::to_string(size_ - body_start) + " remain");
   }
 
+  // `length` was bounded against the source size above before the resize.
   rec.body.resize(length);
-  // lint: allow(raw-cast) istream::read takes char*; `length` was bounded
-  // against the file size above before the resize
-  in_.read(reinterpret_cast<char*>(rec.body.data()), static_cast<std::streamsize>(length));
-  if (in_.gcount() < static_cast<std::streamsize>(length)) {
-    if (in_.eof()) {  // file shrank under us
-      IngestMetrics::get().decode_error("truncated_body").inc();
-      throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
-                        " of '" + path_ + "'");
-    }
-    throw Error("read from '" + path_ + "' failed at byte " + std::to_string(body_start));
+  if (read(rec.body.data(), length) < length) {  // the file shrank under us
+    IngestMetrics::get().decode_error("truncated_body").inc();
+    throw DecodeError("truncated MRT record body at byte " + std::to_string(body_start) +
+                      " of " + source_);
   }
 
   bytes_ = body_start + length;
@@ -173,11 +187,16 @@ std::optional<RawFramedRecord> MrtStreamReader::next_update() {
   return std::nullopt;
 }
 
-ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
+std::uint32_t rib_epoch(const std::string& path) {
+  MrtStreamReader stream(path);
+  if (const auto frame = stream.next()) return frame->timestamp;
+  return 0;
+}
+
+ObservedRib rib_from_stream(MrtStreamReader& stream, ThreadPool& pool,
                             std::size_t batch_records) {
   OBS_SPAN("ingest");
   if (batch_records == 0) batch_records = kStreamBatchRecords;
-  MrtStreamReader stream(path);
   ObservedRib rib;
 
   // Peer-index tables decode inline during the header scan — they are rare
@@ -202,13 +221,19 @@ ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
       batch.push_back(PendingRecord{std::move(*raw), current_peers});
     } else {
       // Non-RIB records contribute no routes but still decode (in the batch,
-      // on the pool) so corrupt bytes fail exactly like the in-memory path.
+      // on the pool), so corrupt bytes fail like corrupt RIB records.
       batch.push_back(PendingRecord{std::move(*raw), nullptr});
     }
     if (batch.size() >= batch_records) flush_batch(batch, pool, rib);
   }
   flush_batch(batch, pool, rib);
   return rib;
+}
+
+ObservedRib rib_from_stream(const std::string& path, ThreadPool& pool,
+                            std::size_t batch_records) {
+  MrtStreamReader stream(path);
+  return rib_from_stream(stream, pool, batch_records);
 }
 
 }  // namespace htor::mrt

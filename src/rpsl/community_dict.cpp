@@ -1,5 +1,6 @@
 #include "rpsl/community_dict.hpp"
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -179,6 +180,11 @@ CommunityDictionary mine_dictionary(const std::vector<RpslObject>& objects) {
     }
   }
   return dict;
+}
+
+CommunityDictionary load_dictionary(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = load_bytes(path);
+  return mine_dictionary(parse_objects(std::string(bytes.begin(), bytes.end())));
 }
 
 }  // namespace htor::rpsl

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -94,5 +95,9 @@ bool interpret_remark_line(std::string_view line, bgp::Community& community,
 
 /// Mine every aut-num object's remarks into a dictionary.
 CommunityDictionary mine_dictionary(const std::vector<RpslObject>& objects);
+
+/// Mine the IRR dump in the file at `path`.  Throws Error naming the path
+/// when the file cannot be read: missing, a directory, or a read error.
+CommunityDictionary load_dictionary(const std::string& path);
 
 }  // namespace htor::rpsl

@@ -14,10 +14,6 @@ std::shared_ptr<const MappedSnapshot> MappedSnapshot::from_bytes(
   return snap;
 }
 
-std::shared_ptr<const MappedSnapshot> MappedSnapshot::map_file(const std::string& path) {
-  return from_map(MmapFile(path));
-}
-
 std::shared_ptr<const MappedSnapshot> MappedSnapshot::from_map(MmapFile map) {
   auto snap = std::shared_ptr<MappedSnapshot>(new MappedSnapshot());
   snap->map_ = std::move(map);

@@ -8,11 +8,12 @@
 //                       tests do exactly that) and a live mmap of a
 //                       truncated inode dies with SIGBUS instead of a
 //                       catchable error;
-//   map_file(path)      a read-only mmap — zero-copy for short-lived CLI
-//                       lookups, where the kernel pages in only what the
-//                       binary search touches.  The mapping pins the
-//                       original inode, so a rename()-replaced file keeps
-//                       serving its old bytes to existing views.
+//   from_map(map)       a read-only mmap (QueryIndex::open_mapped) —
+//                       zero-copy for short-lived CLI lookups, where the
+//                       kernel pages in only what the binary search
+//                       touches.  The mapping pins the original inode, so a
+//                       rename()-replaced file keeps serving its old bytes
+//                       to existing views.
 //
 // Either way the image is fully validated (layout.hpp) before the shared
 // pointer escapes, and QueryIndex views hold the shared_ptr — the image
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "snapshot/layout.hpp"
@@ -37,11 +37,8 @@ class MappedSnapshot {
   /// when the image is malformed; nothing escapes on failure.
   static std::shared_ptr<const MappedSnapshot> from_bytes(std::vector<std::uint8_t> bytes);
 
-  /// Map `path` read-only and validate it as a v2 image.  Throws Error when
-  /// the file cannot be mapped, DecodeError when its contents are invalid.
-  static std::shared_ptr<const MappedSnapshot> map_file(const std::string& path);
-
-  /// Adopt an existing mapping and validate it as a v2 image.
+  /// Adopt an existing mapping and validate it as a v2 image.  Throws
+  /// DecodeError when its contents are invalid.
   static std::shared_ptr<const MappedSnapshot> from_map(MmapFile map);
 
   /// The validated view; valid while this object lives.

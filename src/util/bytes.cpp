@@ -1,10 +1,18 @@
 #include "util/bytes.hpp"
 
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 namespace htor {
 
 std::vector<std::uint8_t> load_bytes(const std::string& path) {
+  // A stream opens a directory on Linux and reads it as end-of-file, so a
+  // directory is refused here before it can pass for an empty file.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    throw Error("cannot read '" + path + "': it is a directory");
+  }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw Error("cannot open '" + path + "'");
   const std::streamsize size = in.tellg();

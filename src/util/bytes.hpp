@@ -53,8 +53,8 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Read a whole binary file into memory.  Throws Error when the file cannot
-/// be opened, sized, or fully read.
+/// Read a whole binary file into memory.  Throws Error naming the path when
+/// the file cannot be opened, sized, or fully read, or is a directory.
 std::vector<std::uint8_t> load_bytes(const std::string& path);
 
 /// Write `data` to `path` (truncating).  Throws Error when the file cannot

@@ -32,6 +32,9 @@
 #      — exit 0, one line per cut epoch and the closing `stream done:`
 #      summary; the same command on a clipped updates file exits non-zero
 #      with the decode error on stderr (skipped without /bin/sh, as in 5).
+#  11. `census` and `follow` with a directory as the IRR path exit 1, name
+#      the path on stderr and print nothing on stdout, instead of running
+#      on an empty community dictionary.
 #
 # Invoked as:
 #   cmake -DHYBRIDTOR=<path> -DWORK_DIR=<dir> -P cli_e2e.cmake
@@ -441,6 +444,25 @@ if(SH_PROGRAM)
 else()
   message(STATUS "cli_e2e: no sh found, skipping truncated-updates check")
 endif()
+
+# ------------------------------------------------- 11. unreadable IRR path
+# A stream opens a directory and reads it as empty; the dictionary loader
+# must refuse it rather than mine zero communities.
+foreach(irr_cmd "census" "follow")
+  if(irr_cmd STREQUAL "census")
+    execute_process(COMMAND "${HYBRIDTOR}" census "${DATA_DIR3}/rib.mrt" "${DATA_DIR3}"
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  else()
+    execute_process(COMMAND "${HYBRIDTOR}" follow "${DATA_DIR3}/rib.mrt" "${DATA_DIR3}"
+                            "${DATA_DIR3}/updates.mrt"
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  endif()
+  string(FIND "${err}" "'${DATA_DIR3}'" at)
+  if(NOT rc EQUAL 1 OR at EQUAL -1 OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${irr_cmd} with a directory as the IRR path must exit 1 naming it"
+                        " (rc=${rc}):\n${out}${err}")
+  endif()
+endforeach()
 
 message(STATUS "cli_e2e: all checks passed")
 file(REMOVE_RECURSE "${WORK_DIR}")

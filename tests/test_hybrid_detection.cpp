@@ -7,7 +7,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 
@@ -115,7 +115,8 @@ TEST_P(HybridPrecision, NoFalsePositives) {
   mrt::MrtWriter writer;
   for (const auto& rec : mrt::records_from_rib(net.collect(), 1, "t", 0)) writer.write(rec);
   ThreadPool pool;
-  const auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  mrt::MrtStreamReader stream(writer.data());
+  const auto rib = mrt::rib_from_stream(stream, pool);
   const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   const auto census = run_census(rib, dict, {}, pool);
 

@@ -7,7 +7,7 @@
 
 #include "core/census_report.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 
@@ -28,7 +28,8 @@ PipelineResult run_pipeline(std::uint64_t seed) {
     writer.write(rec);
   }
   ThreadPool pool;
-  auto rib = mrt::rib_from_records(mrt::read_all(writer.data()), pool);
+  mrt::MrtStreamReader stream(writer.data());
+  auto rib = mrt::rib_from_stream(stream, pool);
   auto dict = rpsl::mine_dictionary(rpsl::parse_objects(net.irr_dump()));
   auto census = core::run_census(rib, dict, {}, pool);
   return {std::move(net), std::move(rib), std::move(dict), std::move(census)};

@@ -3,7 +3,9 @@
 // stream is applied and epochs are swapped in underneath it — no dropped
 // connections, the epoch counter advances with every publish, and
 // GET /metrics exposes the htor_live_* pipeline series and htor_served_*
-// gauges that describe the index being served.
+// gauges that describe the index being served.  Before any update applies,
+// the served epoch answers exactly as `serve` of the batch snapshot does,
+// and an unreadable IRR path fails the service at construction.
 //
 // Labeled `e2e` in CTest so the slow suites can be filtered with -LE e2e.
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "core/census_report.hpp"
+#include "core/pipeline.hpp"
 #include "core/snapshot_bridge.hpp"
 #include "gen/internet.hpp"
 #include "gen/updates.hpp"
@@ -33,8 +36,10 @@
 #include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
-#include "rpsl/object.hpp"
+#include "rpsl/community_dict.hpp"
+#include "server/daemon.hpp"
 #include "snapshot/query.hpp"
+#include "snapshot/writer.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -146,6 +151,9 @@ std::string pipeline_state(const std::string& state) {
 
 // --------------------------------------------------------------- fixture
 
+/// The MRT timestamp of every record of the fixture's seed RIB.
+constexpr std::uint32_t kRibTimestamp = 1281052800u;
+
 /// On-disk inputs shared by every test: seed RIB, IRR dump, update stream.
 struct LiveFiles {
   std::string dir;
@@ -166,7 +174,7 @@ const LiveFiles& files() {
     const auto rib = net.collect();
 
     mrt::MrtWriter rib_writer;
-    for (const auto& rec : mrt::records_from_rib(rib, 0x0a0a0a0au, "live-e2e", 1281052800u)) {
+    for (const auto& rec : mrt::records_from_rib(rib, 0x0a0a0a0au, "live-e2e", kRibTimestamp)) {
       rib_writer.write(rec);
     }
     out.rib = out.dir + "/rib.mrt";
@@ -296,10 +304,7 @@ TEST(LiveFollowE2E, ServedGaugesEqualAFreshCensusAfterEpochs) {
   service.wait();
   ASSERT_GE(service.epochs_published(), 3u);
 
-  std::ifstream irr(f.irr);
-  std::ostringstream irr_text;
-  irr_text << irr.rdbuf();
-  const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(irr_text.str()));
+  const auto dict = rpsl::load_dictionary(f.irr);
   ThreadPool pool(1);
   const auto report =
       core::run_census(service.census().rib().materialize(), dict, core::InferenceConfig{}, pool);
@@ -368,6 +373,59 @@ TEST(LiveFollowE2E, TruncatedFeedReportsItsErrorAndKeepsTheLastEpoch) {
   EXPECT_EQ(prom_value(metrics.body, pipeline_state("running")), 0u) << metrics.body;
   EXPECT_EQ(prom_value(metrics.body, pipeline_state("finished")), 0u) << metrics.body;
   service.stop();
+}
+
+// Before any update applies, the served epoch is the batch census of the
+// seed RIB: /v1/summary answers byte for byte what `serve` answers for the
+// `census --snapshot-out` snapshot of the same files, the RIB's timestamp
+// included.
+TEST(LiveFollowE2E, EpochZeroSummaryEqualsServeOfTheBatchSnapshot) {
+  obs::MetricsRegistry::global().reset_values();
+  const LiveFiles& f = files();
+  const std::string no_updates = f.dir + "/updates_empty.mrt";
+  std::ofstream(no_updates, std::ios::binary | std::ios::trunc).close();
+
+  FollowService service(f.rib, f.irr, {no_updates}, follow_config(100));
+  service.start();
+  service.wait();
+  ASSERT_EQ(service.result().applied, 0u);
+  const auto live = fetch(service.port(), "GET", "/v1/summary");
+  service.stop();
+
+  // What `census --snapshot-out` writes and `serve` then loads.
+  ThreadPool pool(1);
+  const auto report = core::run_census(core::load_rib(f.rib, pool),
+                                       rpsl::load_dictionary(f.irr), core::InferenceConfig{},
+                                       pool);
+  const std::string snap_path = f.dir + "/batch.snap";
+  snapshot::Writer::write_file(core::to_snapshot(report, f.rib, kRibTimestamp), snap_path);
+  server::DaemonConfig config;
+  config.port = 0;
+  server::QueryDaemon daemon(snap_path, config);
+  daemon.start();
+  const auto batch = fetch(daemon.port(), "GET", "/v1/summary");
+  daemon.stop();
+
+  ASSERT_TRUE(live.ok && batch.ok);
+  EXPECT_EQ(live.status, 200);
+  EXPECT_NE(batch.body.find("\"timestamp\":" + std::to_string(kRibTimestamp)), std::string::npos)
+      << batch.body;
+  EXPECT_EQ(live.body, batch.body);
+}
+
+// An IRR path that cannot be read fails the service at construction, with
+// the path named, instead of serving a census mined from an empty
+// dictionary.
+TEST(LiveFollowE2E, UnreadableIrrPathFailsConstruction) {
+  const LiveFiles& f = files();
+  for (const std::string& irr : {f.dir, f.dir + "/no_such_irr.txt"}) {
+    try {
+      FollowService service(f.rib, irr, {f.updates}, follow_config(100));
+      ADD_FAILURE() << "FollowService accepted the IRR path " << irr;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(irr), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(LiveFollowE2E, ReloadFailsGracefullyOnInMemoryIndex) {

@@ -1,11 +1,14 @@
 // Unit tests for the MRT codec: record round trips, raw passthrough, file
-// I/O, and the RIB view join in both directions.
+// I/O, and the RIB view join in both directions.  Every record set is
+// encoded with MrtWriter and read back through MrtStreamReader, the one
+// framer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 
 namespace htor::mrt {
@@ -14,11 +17,18 @@ namespace {
 Record round_trip(const Record& in) {
   MrtWriter w;
   w.write(in);
-  MrtReader reader(w.data());
-  auto out = reader.next();
-  EXPECT_TRUE(out.has_value());
-  EXPECT_FALSE(reader.next().has_value());
-  return *out;
+  auto out = read_all(w.data());
+  EXPECT_EQ(out.size(), 1u);
+  return out.empty() ? Record{} : out.front();
+}
+
+/// Encode `records` with MrtWriter and join them with rib_from_stream.
+ObservedRib join(const std::vector<Record>& records) {
+  MrtWriter w;
+  for (const auto& record : records) w.write(record);
+  MrtStreamReader stream(w.data());
+  ThreadPool pool;
+  return rib_from_stream(stream, pool);
 }
 
 PeerIndexTable sample_pit() {
@@ -105,8 +115,9 @@ TEST(Mrt, TruncatedRecordThrows) {
   w.write(Record{1, sample_pit()});
   auto bytes = w.take();
   bytes.resize(bytes.size() - 3);
-  MrtReader reader(bytes);
+  MrtStreamReader reader(bytes);
   EXPECT_THROW(reader.next(), DecodeError);
+  EXPECT_THROW(read_all(bytes), DecodeError);
 }
 
 TEST(Mrt, SaveAndLoadFile) {
@@ -114,13 +125,18 @@ TEST(Mrt, SaveAndLoadFile) {
   w.write(Record{1, sample_pit()});
   const std::string path = ::testing::TempDir() + "/htor_test.mrt";
   w.save(path);
-  const auto data = load_file(path);
-  EXPECT_EQ(data, w.data());
-  const auto records = read_all(data);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(std::get<PeerIndexTable>(records[0].body), sample_pit());
+  MrtStreamReader stream(path);
+  const auto frame = stream.next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_FALSE(stream.next().has_value());
+  EXPECT_EQ(stream.bytes_read(), w.data().size());
+  const Record record = decode_record_body(frame->timestamp, frame->type, frame->subtype,
+                                           frame->body);
+  EXPECT_EQ(std::get<PeerIndexTable>(record.body), sample_pit());
+  EXPECT_EQ(rib_epoch(path), 1u);
   std::remove(path.c_str());
-  EXPECT_THROW(load_file("/nonexistent/nope.mrt"), Error);
+  EXPECT_THROW(MrtStreamReader("/nonexistent/nope.mrt"), Error);
+  EXPECT_THROW(rib_epoch("/nonexistent/nope.mrt"), Error);
 }
 
 // ---- RIB view -----------------------------------------------------------
@@ -159,12 +175,7 @@ TEST(RibView, MrtRoundTripPreservesRoutes) {
   const auto rib = sample_rib();
   const auto records = records_from_rib(rib, 0xc0ffee00u, "rt", 1281052800u);
 
-  // Serialize to actual bytes and back.
-  MrtWriter w;
-  for (const auto& rec : records) w.write(rec);
-  const auto parsed = read_all(w.data());
-  ThreadPool pool;
-  const auto out = rib_from_records(parsed, pool);
+  const auto out = join(records);
 
   ASSERT_EQ(out.size(), rib.size());
   // Order may differ (grouped by prefix); compare as sets.
@@ -177,23 +188,34 @@ TEST(RibView, MrtRoundTripPreservesRoutes) {
   }
 }
 
+/// A RIB entry that decodes cleanly, pointing at peer `peer_index`.
+RibEntry valid_entry(std::uint16_t peer_index) {
+  RibEntry entry;
+  entry.peer_index = peer_index;
+  entry.attrs.origin = bgp::Origin::Igp;
+  entry.attrs.as_path = bgp::AsPath::sequence({64500, 3356});
+  entry.attrs.next_hop = IpAddress::parse("10.0.0.1");
+  return entry;
+}
+
 TEST(RibView, RejectsRibBeforePeerTable) {
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
-  rib.entries.push_back({});
-  ThreadPool pool;
-  EXPECT_THROW(rib_from_records({Record{0, rib}}, pool), DecodeError);
+  rib.entries.push_back(valid_entry(0));
+  EXPECT_THROW(join({Record{0, rib}}), DecodeError);
 }
 
 TEST(RibView, RejectsOutOfRangePeerIndex) {
   PeerIndexTable pit;  // no peers
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
-  RibEntry entry;
-  entry.peer_index = 4;
-  rib.entries.push_back(entry);
-  ThreadPool pool;
-  EXPECT_THROW(rib_from_records({Record{0, pit}, Record{0, rib}}, pool), DecodeError);
+  rib.entries.push_back(valid_entry(4));
+  EXPECT_THROW(join({Record{0, pit}, Record{0, rib}}), DecodeError);
+  // The same record with peer 0 in the table joins: the peer index alone
+  // is what the join rejected.
+  pit.peers.push_back({1, IpAddress::parse("10.0.0.1"), 64500});
+  rib.entries[0].peer_index = 0;
+  EXPECT_EQ(join({Record{0, pit}, Record{0, rib}}).size(), 1u);
 }
 
 TEST(RibView, RejectsMoreThan16BitPeers) {
@@ -217,15 +239,13 @@ TEST(RibView, FlattensAsSets) {
   pit.peers.push_back({1, IpAddress::parse("10.0.0.1"), 64500});
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
-  RibEntry entry;
-  entry.peer_index = 0;
+  RibEntry entry = valid_entry(0);
   bgp::AsPath path;
   path.add_segment({bgp::AsSegmentType::Sequence, {64500}});
   path.add_segment({bgp::AsSegmentType::Set, {1, 2}});
   entry.attrs.as_path = path;
   rib.entries.push_back(entry);
-  ThreadPool pool;
-  const auto out = rib_from_records({Record{0, pit}, Record{0, rib}}, pool);
+  const auto out = join({Record{0, pit}, Record{0, rib}});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out.routes()[0].as_path, (std::vector<Asn>{64500, 1, 2}));
 }

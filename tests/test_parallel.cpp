@@ -23,8 +23,8 @@
 #include "core/snapshot_bridge.hpp"
 #include "core/valley_census.hpp"
 #include "gen/internet.hpp"
-#include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
+#include "mrt/stream_reader.hpp"
 #include "mrt/writer.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/writer.hpp"
@@ -197,13 +197,14 @@ TEST_F(ParallelFixture, RibJoinMatchesAcrossJobCounts) {
   mrt::MrtWriter writer;
   for (const auto& rec : mrt::records_from_rib(rib(), 1, "par", 0)) writer.write(rec);
   const auto bytes = writer.take();
-  const auto records = mrt::read_all(bytes);
 
   ThreadPool inline_pool;
-  const auto base = mrt::rib_from_records(records, inline_pool);
+  mrt::MrtStreamReader inline_stream(bytes);
+  const auto base = mrt::rib_from_stream(inline_stream, inline_pool);
   ASSERT_EQ(base.size(), rib().size());
   ThreadPool pool(4);
-  const auto sharded = mrt::rib_from_records(records, pool);
+  mrt::MrtStreamReader stream(bytes);
+  const auto sharded = mrt::rib_from_stream(stream, pool);
   EXPECT_EQ(sharded.size_of(IpVersion::V6), base.size_of(IpVersion::V6));
   // Route order must match exactly, not just the route set.
   EXPECT_EQ(sharded.routes(), base.routes());

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "bgp/message.hpp"
+#include "core/pipeline.hpp"
 #include "gen/internet.hpp"
 #include "mrt/reader.hpp"
 #include "mrt/rib_view.hpp"
@@ -58,10 +60,8 @@ TEST(Robustness, MrtTruncationSweep) {
   // Sweep cut points across the first few records densely, then stride.
   for (std::size_t len = 1; len < bytes.size(); len += (len < 4096 ? 7 : 997)) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
-    mrt::MrtReader reader(cut);
     try {
-      while (reader.next()) {
-      }
+      (void)mrt::read_all(cut);
       // Clean EOF is acceptable when the cut fell on a record boundary.
     } catch (const DecodeError&) {
       // Expected for mid-record cuts.
@@ -70,14 +70,14 @@ TEST(Robustness, MrtTruncationSweep) {
 }
 
 // Record *header* corruption mid-file (the earlier sweeps mostly land in
-// bodies): both readers must raise a clean DecodeError — never silently stop
-// or hand back a partial RIB.
+// bodies): the reader, over the buffer and over the file, must raise a clean
+// DecodeError — never silently stop or hand back a partial RIB.
 TEST(Robustness, TruncatedHeaderMidFileThrows) {
   auto bytes = valid_mrt_bytes();
   // 7 stray bytes after the last valid record: a header cut short.
   bytes.insert(bytes.end(), {0x12, 0x34, 0x56, 0x78, 0x00, 0x0d, 0x00});
 
-  mrt::MrtReader reader(bytes);
+  mrt::MrtStreamReader reader(bytes);
   EXPECT_THROW(
       {
         while (reader.next()) {
@@ -85,7 +85,8 @@ TEST(Robustness, TruncatedHeaderMidFileThrows) {
       },
       DecodeError);
   ThreadPool pool;
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
+  mrt::MrtStreamReader joined(bytes);
+  EXPECT_THROW(mrt::rib_from_stream(joined, pool), DecodeError);
 
   // Same file on disk through the streaming reader.
   const std::string path = ::testing::TempDir() + "/trunc_header.mrt";
@@ -104,7 +105,7 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
   bytes.insert(bytes.end(),
                {0x00, 0x00, 0x00, 0x01, 0x00, 0x0d, 0x00, 0x02, 0xff, 0xff, 0xff, 0xfe});
 
-  mrt::MrtReader reader(bytes);
+  mrt::MrtStreamReader reader(bytes);
   EXPECT_THROW(
       {
         while (reader.next()) {
@@ -112,7 +113,8 @@ TEST(Robustness, GarbageHeaderLengthMidFileThrows) {
       },
       DecodeError);
   ThreadPool pool;
-  EXPECT_THROW(mrt::rib_from_records(mrt::read_all(bytes), pool), DecodeError);
+  mrt::MrtStreamReader joined(bytes);
+  EXPECT_THROW(mrt::rib_from_stream(joined, pool), DecodeError);
 
   const std::string path = ::testing::TempDir() + "/garbage_header.mrt";
   {
@@ -141,12 +143,11 @@ TEST(Robustness, TruncatedRibFileFailsFast) {
     out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<long>(cut));
   }
 
-  const auto data = mrt::load_file(path);
-  ASSERT_EQ(data.size(), cut);
+  ASSERT_EQ(std::filesystem::file_size(path), cut);
   // Inline and with workers alike.
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(jobs);
-    EXPECT_THROW(mrt::rib_from_records(mrt::read_all(data), pool), DecodeError);
+    EXPECT_THROW(core::load_rib(path, pool), DecodeError);
   }
 
   std::remove(path.c_str());
@@ -184,10 +185,11 @@ TEST_P(MrtCorruption, SingleByteFlips) {
     auto bytes = original;
     const std::size_t pos = rng.index(bytes.size());
     bytes[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform(0, 7));
-    mrt::MrtReader reader(bytes);
+    mrt::MrtStreamReader reader(bytes);
     try {
       std::size_t records = 0;
-      while (reader.next()) {
+      while (const auto raw = reader.next()) {
+        (void)mrt::decode_record_body(raw->timestamp, raw->type, raw->subtype, raw->body);
         // Defensive bound: corruption must not manufacture unbounded output.
         ASSERT_LT(++records, 100000u);
       }
@@ -210,7 +212,8 @@ TEST(Robustness, RibJoinOnCorruptedDumps) {
     }
     try {
       ThreadPool pool;
-      const auto rib = mrt::rib_from_records(mrt::read_all(bytes), pool);
+      mrt::MrtStreamReader stream(bytes);
+      const auto rib = mrt::rib_from_stream(stream, pool);
       (void)rib;
     } catch (const DecodeError&) {
     } catch (const InvalidArgument&) {

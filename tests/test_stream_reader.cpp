@@ -1,10 +1,13 @@
-// Tests for the streaming MRT ingest path: framing equivalence with the
-// in-memory reader, byte-identical RIBs at any pool size and batch size, and
-// clean DecodeError on truncated or garbage framing — never a partial RIB.
+// Tests for the MRT reader, MrtStreamReader: its file and buffer sources
+// frame the same bytes identically, rib_from_stream gives the RIB of a plain
+// single-threaded join at any pool size and batch size, and truncated or
+// garbage framing fails with a clean DecodeError — never a partial RIB.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <variant>
 
 #include "gen/internet.hpp"
@@ -38,11 +41,13 @@ std::string write_temp(const std::vector<std::uint8_t>& bytes, const std::string
   return path;
 }
 
-TEST(MrtStreamReader, FramesMatchInMemoryReader) {
-  const auto& bytes = sample_dump();
-  const std::string path = write_temp(bytes, "stream_frames.mrt");
+TEST(MrtStreamReader, FramesDecodeToTheWrittenRecords) {
+  const auto net = gen::SyntheticInternet::generate(gen::small_params(21));
+  const auto records = records_from_rib(net.collect(), 1, "stream", 1281052800u);
+  MrtWriter writer;
+  for (const auto& rec : records) writer.write(rec);
+  const std::string path = write_temp(writer.data(), "stream_frames.mrt");
 
-  const auto records = read_all(bytes);
   MrtStreamReader stream(path);
   std::size_t i = 0;
   while (auto framed = stream.next()) {
@@ -54,9 +59,77 @@ TEST(MrtStreamReader, FramesMatchInMemoryReader) {
   }
   EXPECT_EQ(i, records.size());
   EXPECT_EQ(stream.records_read(), records.size());
-  EXPECT_EQ(stream.bytes_read(), bytes.size());
-  EXPECT_EQ(stream.file_size(), bytes.size());
+  EXPECT_EQ(stream.bytes_read(), writer.data().size());
+  EXPECT_EQ(stream.source_size(), writer.data().size());
+  EXPECT_EQ(read_all(writer.data()), records);
   std::remove(path.c_str());
+}
+
+/// What one source made of a byte string: its frames up to the end or the
+/// first DecodeError, the error's message, and the records read before it.
+struct Framing {
+  std::vector<RawFramedRecord> frames;
+  std::optional<std::string> error;
+  std::uint64_t records_read = 0;
+};
+
+Framing frame_all(MrtStreamReader& stream) {
+  Framing out;
+  try {
+    while (auto frame = stream.next()) out.frames.push_back(std::move(*frame));
+  } catch (const DecodeError& e) {
+    out.error = e.what();
+  }
+  out.records_read = stream.records_read();
+  return out;
+}
+
+// The two sources run the same next(): at every cut of a dump they give the
+// same frames, or fail with the same DecodeError at the same record (the
+// messages differ only in how they name the source).  Any other exception
+// from the buffer source escapes and fails the test.
+TEST(MrtStreamReader, FileAndBufferSourcesAgreeAtEveryCut) {
+  auto bytes = sample_dump();
+  // A garbage length field at the end, so the sweep also crosses a header
+  // whose body overruns the source.
+  bytes.insert(bytes.end(), {0x00, 0x00, 0x00, 0x01, 0x00, 0x0d, 0x00, 0x02, 0x00, 0x00, 0x01, 0x00});
+  std::size_t cuts = 0;
+  std::size_t failed = 0;
+  for (std::size_t len = 0; len <= bytes.size();
+       len += (len < 4096 || len + 4096 > bytes.size() ? 5 : 997)) {
+    const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
+    const std::string path = write_temp(cut, "stream_sources.mrt");
+    MrtStreamReader from_file(path);
+    MrtStreamReader from_buffer(cut);
+    const Framing file = frame_all(from_file);
+    const Framing buffer = frame_all(from_buffer);
+    std::remove(path.c_str());
+
+    ASSERT_EQ(file.frames.size(), buffer.frames.size()) << "cut at " << len;
+    for (std::size_t i = 0; i < file.frames.size(); ++i) {
+      const RawFramedRecord& a = file.frames[i];
+      const RawFramedRecord& b = buffer.frames[i];
+      ASSERT_TRUE(a.timestamp == b.timestamp && a.type == b.type && a.subtype == b.subtype &&
+                  a.body == b.body)
+          << "frame " << i << ", cut at " << len;
+    }
+    EXPECT_EQ(file.records_read, buffer.records_read) << "cut at " << len;
+    EXPECT_EQ(from_file.bytes_read(), from_buffer.bytes_read()) << "cut at " << len;
+    ASSERT_EQ(file.error.has_value(), buffer.error.has_value()) << "cut at " << len;
+    if (file.error) {
+      ++failed;
+      std::string named = *file.error;
+      const std::string quoted = "'" + path + "'";
+      for (std::size_t at = named.find(quoted); at != std::string::npos;
+           at = named.find(quoted)) {
+        named.replace(at, quoted.size(), "the buffer");
+      }
+      EXPECT_EQ(named, *buffer.error) << "cut at " << len;
+    }
+    ++cuts;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_LT(failed, cuts);  // record-boundary cuts frame cleanly
 }
 
 TEST(MrtStreamReader, MissingFileThrows) {
@@ -81,10 +154,8 @@ TEST(MrtStreamReader, TruncatedHeaderMidFileThrows) {
   // Find a record boundary roughly halfway into the dump, keep the records
   // before it, and append 5 stray bytes — a header cut short mid-file.
   std::size_t boundary = 0;
-  MrtReader probe(all);
-  while (boundary < all.size() / 2 && probe.next()) {
-    boundary = all.size() - probe.remaining();
-  }
+  MrtStreamReader probe(all);
+  while (boundary < all.size() / 2 && probe.next()) boundary = probe.bytes_read();
   ASSERT_GT(boundary, 0u);
   ASSERT_LT(boundary, all.size());
   std::vector<std::uint8_t> aligned(all.begin(), all.begin() + static_cast<long>(boundary));
@@ -125,34 +196,29 @@ TEST(MrtStreamReader, GarbageLengthFieldThrows) {
   std::remove(path.c_str());
 }
 
-// rib_from_stream == rib_from_records, route for route, at several pool
-// sizes and batch sizes (including batches far smaller than the record
-// count, forcing many flushes).  The two joins batch and merge differently —
-// the streaming one per fixed record batch, the in-memory one over a fixed
-// shard plan — so each is the oracle for the other's merge order; batch 1
-// makes every streaming merge trivial.
-/// The routes of `bytes` joined without the library's placement code: every
-/// record in file order, each RIB record against the peer table before it.
+/// The routes of `bytes` joined without the library's batching and
+/// placement code: every record framed by MrtStreamReader on this thread
+/// and decoded in file order, each RIB record joined against the peer table
+/// before it.  Throws DecodeError where the dump is malformed.
 std::vector<ObservedRoute> plain_join(const std::vector<std::uint8_t>& bytes) {
   std::vector<ObservedRoute> routes;
-  const PeerIndexTable* peers = nullptr;
-  const std::vector<Record> records = read_all(bytes);
-  for (const Record& record : records) {
-    if (const auto* table = std::get_if<PeerIndexTable>(&record.body)) peers = table;
+  std::optional<PeerIndexTable> peers;
+  MrtStreamReader stream(bytes);
+  while (const auto raw = stream.next()) {
+    Record record = decode_record_body(raw->timestamp, raw->type, raw->subtype, raw->body);
+    if (auto* table = std::get_if<PeerIndexTable>(&record.body)) peers = std::move(*table);
     if (const auto* rib = std::get_if<RibPrefixRecord>(&record.body)) {
-      if (peers == nullptr) {
-        ADD_FAILURE() << "RIB record before any peer table";
-        return {};
-      }
+      if (!peers) throw DecodeError("RIB record before any PEER_INDEX_TABLE");
       join_rib_record(*rib, *peers, routes);
     }
   }
   return routes;
 }
 
-// Both ingest paths place routes through ObservedRib::append, so each is
-// checked against a join built here, route by route and in order.
-TEST(RibFromStream, IdenticalToInMemoryJoin) {
+// rib_from_stream, over the file and over the buffer, equals the plain join
+// route for route, at several pool sizes and batch sizes (batch 7 forces
+// many flushes; batch 1 makes every merge trivial).
+TEST(RibFromStream, MatchesThePlainJoin) {
   const auto& bytes = sample_dump();
   const std::string path = write_temp(bytes, "stream_equiv.mrt");
   const std::vector<ObservedRoute> reference = plain_join(bytes);
@@ -163,17 +229,17 @@ TEST(RibFromStream, IdenticalToInMemoryJoin) {
 
   for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ThreadPool pool(jobs);
-    const ObservedRib in_memory = rib_from_records(read_all(bytes), pool);
-    EXPECT_EQ(in_memory.routes(), reference) << "jobs=" << jobs;
-    EXPECT_EQ(in_memory.size_of(IpVersion::V4), reference_v4) << "jobs=" << jobs;
     for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
-      const ObservedRib streamed = rib_from_stream(path, pool, batch);
-      ASSERT_EQ(streamed.size(), reference.size()) << "jobs=" << jobs << " batch=" << batch;
-      EXPECT_EQ(streamed.size_of(IpVersion::V4), reference_v4);
-      EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size() - reference_v4);
-      for (std::size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_EQ(streamed.routes()[i], reference[i])
-            << "route " << i << " jobs=" << jobs << " batch=" << batch;
+      MrtStreamReader buffer(bytes);
+      for (const ObservedRib& streamed :
+           {rib_from_stream(path, pool, batch), rib_from_stream(buffer, pool, batch)}) {
+        ASSERT_EQ(streamed.size(), reference.size()) << "jobs=" << jobs << " batch=" << batch;
+        EXPECT_EQ(streamed.size_of(IpVersion::V4), reference_v4);
+        EXPECT_EQ(streamed.size_of(IpVersion::V6), reference.size() - reference_v4);
+        for (std::size_t i = 0; i < reference.size(); ++i) {
+          ASSERT_EQ(streamed.routes()[i], reference[i])
+              << "route " << i << " jobs=" << jobs << " batch=" << batch;
+        }
       }
     }
   }
@@ -247,8 +313,7 @@ TEST(MrtStreamReaderUpdates, TruncatedUpdateStreamThrows) {
   std::remove(path.c_str());
 }
 
-// An orphan RIB record (no PEER_INDEX_TABLE yet) fails identically to the
-// in-memory path.
+// An orphan RIB record (no PEER_INDEX_TABLE yet) is a DecodeError.
 TEST(RibFromStream, RejectsRibBeforePeerTable) {
   RibPrefixRecord rib;
   rib.prefix = Prefix::parse("10.0.0.0/8");
@@ -262,11 +327,20 @@ TEST(RibFromStream, RejectsRibBeforePeerTable) {
 }
 
 // Truncating anywhere inside the dump must never yield a partial RIB: every
-// cut either streams cleanly (cut on a record boundary) or throws.
+// cut either streams cleanly (cut on a record boundary) or throws, and the
+// plain join agrees on which, and on the routes.
 TEST(RibFromStream, TruncationSweepNeverYieldsPartialRib) {
   const auto& bytes = sample_dump();
+  // Strided cuts, plus every 16th record boundary, where a cut is clean.
+  std::set<std::size_t> cuts;
+  for (std::size_t len = 1; len < bytes.size(); len += (len < 4096 ? 13 : 991)) cuts.insert(len);
+  MrtStreamReader probe(bytes);
+  while (probe.next()) {
+    if (probe.records_read() % 16 == 1) cuts.insert(probe.bytes_read());
+  }
   ThreadPool pool(2);
-  for (std::size_t len = 1; len < bytes.size(); len += (len < 4096 ? 13 : 991)) {
+  std::size_t clean = 0;
+  for (const std::size_t len : cuts) {
     const std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + static_cast<long>(len));
     const std::string path = write_temp(cut, "stream_cut.mrt");
     std::optional<ObservedRib> streamed;
@@ -275,18 +349,19 @@ TEST(RibFromStream, TruncationSweepNeverYieldsPartialRib) {
     } catch (const DecodeError&) {
       // Expected for mid-record cuts.
     }
-    if (streamed.has_value()) {
-      // A clean streamed parse is only legal when the cut fell on a record
-      // boundary — the in-memory path must then parse too and agree.  The
-      // reference runs OUTSIDE the try above so a streaming-accepts /
-      // in-memory-rejects divergence fails loudly instead of being
-      // swallowed by the catch.
-      ObservedRib in_memory;
-      ASSERT_NO_THROW(in_memory = rib_from_records(read_all(cut), pool)) << "cut at " << len;
-      EXPECT_EQ(streamed->size(), in_memory.size()) << "cut at " << len;
-    }
     std::remove(path.c_str());
+    // The reference runs OUTSIDE the try above, so a streaming-accepts /
+    // plain-rejects divergence fails loudly instead of being swallowed.
+    if (streamed.has_value()) {
+      ++clean;
+      std::vector<ObservedRoute> reference;
+      ASSERT_NO_THROW(reference = plain_join(cut)) << "cut at " << len;
+      EXPECT_EQ(streamed->routes(), reference) << "cut at " << len;
+    } else {
+      EXPECT_THROW(plain_join(cut), DecodeError) << "cut at " << len;
+    }
   }
+  EXPECT_GT(clean, 0u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 // deterministic RNG, stateless hashing, and the report table printer.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "util/bytes.hpp"
+#include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -76,6 +78,25 @@ TEST(ByteWriter, PatchFieldsInPlace) {
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0x55667788u);
   EXPECT_THROW(w.patch_u16(6, 1), InvalidArgument);
+}
+
+// A stream opens a directory and reads it as empty; load_bytes refuses it,
+// and a missing file, naming the path either way.
+TEST(LoadBytes, RoundTripsAndRefusesWhatIsNoFile) {
+  const std::string dir = ::testing::TempDir() + "/htor_load_bytes";
+  std::filesystem::create_directories(dir);
+  const std::vector<std::uint8_t> bytes = {0, 1, 2, 0xff};
+  save_bytes(dir + "/f.bin", bytes);
+  EXPECT_EQ(load_bytes(dir + "/f.bin"), bytes);
+  for (const std::string& path : {dir, dir + "/missing.bin"}) {
+    try {
+      (void)load_bytes(path);
+      ADD_FAILURE() << "load_bytes accepted " << path;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + path + "'"), std::string::npos) << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Strings, Trim) {

@@ -71,7 +71,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -92,7 +91,7 @@
 #include "mrt/writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "rpsl/object.hpp"
+#include "rpsl/community_dict.hpp"
 #include "server/daemon.hpp"
 #include "server/render.hpp"
 #include "snapshot/diff.hpp"
@@ -202,14 +201,6 @@ std::optional<std::size_t> parse_scale(const std::string& value) {
   return static_cast<std::size_t>(parsed);
 }
 
-std::string read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "'");
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 int cmd_generate(const std::string& outdir, std::uint64_t seed, std::size_t update_events,
                  std::size_t scale) {
   std::error_code ec;
@@ -268,15 +259,6 @@ int cmd_generate(const std::string& outdir, std::uint64_t seed, std::size_t upda
   return 0;
 }
 
-/// The RIB's epoch: the MRT timestamp of the dump's first record.  This (not
-/// wall clock) stamps snapshots, so re-running the census on the same input
-/// reproduces the snapshot byte for byte.
-std::uint64_t rib_epoch(const std::string& mrt_path) {
-  mrt::MrtStreamReader stream(mrt_path);
-  if (const auto frame = stream.next()) return frame->timestamp;
-  return 0;
-}
-
 /// End-of-run stage timing table from the span histograms: one row per
 /// pipeline stage that ran, in stage-name order (dotted names group
 /// sub-stages under their parent lexically).
@@ -317,7 +299,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
   } catch (const Error& e) {
     throw Error("census aborted: " + mrt_path + ": " + e.what());
   }
-  const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
+  const auto dict = rpsl::load_dictionary(irr_path);
   std::cout << mrt_path << ": " << rib.size() << " routes ("
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
             << " communities from " << dict.documented_asns().size() << " ASes\n\n";
@@ -375,7 +357,7 @@ int cmd_census(const std::string& mrt_path, const std::string& irr_path, std::si
   }
 
   if (snapshot_out) {
-    const auto snap = core::to_snapshot(census, mrt_path, rib_epoch(mrt_path));
+    const auto snap = core::to_snapshot(census, mrt_path, mrt::rib_epoch(mrt_path));
     snapshot::Writer::write_file(snap, *snapshot_out);
     std::cout << "\nwrote snapshot " << *snapshot_out << " (v4 links "
               << snap.rels_v4.size() << ", v6 links " << snap.rels_v6.size() << ", hybrids "
@@ -646,13 +628,13 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
   } catch (const Error& e) {
     throw Error("follow aborted: " + rib_path + ": " + e.what());
   }
-  const auto dict = rpsl::mine_dictionary(rpsl::parse_objects(read_text_file(irr_path)));
+  const auto dict = rpsl::load_dictionary(irr_path);
   std::cout << rib_path << ": seeded " << rib.size() << " routes ("
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
             << " communities\n";
 
   live::IncrementalCensus census(rib, dict, core::InferenceConfig{}, rib_path,
-                                 static_cast<std::uint32_t>(rib_epoch(rib_path)));
+                                 mrt::rib_epoch(rib_path));
 
   live::PipelineConfig pipeline_config;
   pipeline_config.epoch_every = epoch_every;

@@ -41,6 +41,11 @@ enforces them over ``src/`` and ``tools/``:
                     telemetry, and stay fine; a non-counter integral atomic
                     (e.g. a uniquifier that must survive registry resets)
                     documents itself with an allow comment.
+  whole-file-rdbuf  ``out << in.rdbuf()``, the whole-file read idiom.  It
+                    never sets ``in``'s error bits: a read error, or a
+                    directory (which a stream opens on Linux and reads as
+                    end-of-file), passes as an empty file.  Read files
+                    through util/bytes' load_bytes, which checks each case.
   pragma-once       every header starts its include guard with
                     ``#pragma once``.
   namespace         every file under src/ opens a ``namespace htor`` (or a
@@ -185,6 +190,13 @@ LINE_RULES = [
         "an allow comment",
         _not_obs_home,
     ),
+    (
+        "whole-file-rdbuf",
+        re.compile(r"<<\s*[\w.:\->()\[\]]*?\brdbuf\s*\(\s*\)"),
+        "whole-file read through << rdbuf() hides read errors and reads a "
+        "directory as empty; use load_bytes (util/bytes)",
+        lambda path: True,
+    ),
 ]
 
 
@@ -319,6 +331,18 @@ SELF_TEST_CASES = [
         {"adhoc-atomic-counter"},
     ),
     (
+        "whole-file read through rdbuf",
+        "tools/bad_slurp.cpp",
+        "namespace htor {\n"
+        "std::string slurp(std::ifstream& in) {\n"
+        "  std::ostringstream out;\n"
+        "  out << in.rdbuf();\n"
+        "  return out.str();\n"
+        "}\n"
+        "}  // namespace htor\n",
+        {"whole-file-rdbuf"},
+    ),
+    (
         "header without pragma once",
         "src/util/bad_header.hpp",
         "namespace htor {\nint x();\n}  // namespace htor\n",
@@ -381,6 +405,16 @@ SELF_TEST_CASES = [
         "src/obs/good_cells.cpp",
         "namespace htor {\n"
         "struct Cell { std::atomic<std::uint64_t> value{0}; };\n"
+        "}  // namespace htor\n",
+        set(),
+    ),
+    (
+        "setting a stream's buffer through rdbuf() is no read",
+        "src/mrt/good_rdbuf.cpp",
+        "namespace htor {\n"
+        "void buffer(std::ifstream& in, std::vector<char>& io) {\n"
+        "  in.rdbuf()->pubsetbuf(io.data(), 4096);\n"
+        "}\n"
         "}  // namespace htor\n",
         set(),
     ),
