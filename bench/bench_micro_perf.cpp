@@ -342,6 +342,30 @@ void BM_LiveApply(benchmark::State& state) {
 }
 BENCHMARK(BM_LiveApply);
 
+// One live epoch as `follow` cuts it: 1000 messages applied (untimed), then
+// recompute() — the fold of those changes into the sorted table plus the
+// census over it and the snapshot.  Arg is the job count; the time minus
+// BM_RunCensus at the same Arg is what the fold and snapshot cost.
+void BM_LiveEpoch(benchmark::State& state) {
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  live::IncrementalCensus census(bits().rib, bits().dict, {}, "bench", 1281052800u);
+  const auto& messages = live_messages();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int n = 0; n < 1000; ++n, ++i) {
+      const auto& [timestamp, msg] = messages[i % messages.size()];
+      census.apply(timestamp, msg);
+    }
+    state.ResumeTiming();
+    auto epoch = census.recompute(pool);
+    benchmark::DoNotOptimize(epoch);
+  }
+  state.counters["routes"] = static_cast<double>(census.rib().size());
+  state.counters["jobs"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_LiveEpoch)->Arg(1)->Arg(4)->UseRealTime();
+
 // --- snapshot store ----------------------------------------------------------
 
 /// Census snapshot of the shared dataset, built once.

@@ -6,7 +6,7 @@
 
 namespace htor::live {
 
-IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
+IncrementalCensus::IncrementalCensus(mrt::ObservedRib rib,
                                      rpsl::CommunityDictionary dict,
                                      core::InferenceConfig config, std::string source,
                                      std::uint32_t seed_timestamp)
@@ -14,7 +14,7 @@ IncrementalCensus::IncrementalCensus(const mrt::ObservedRib& rib,
       config_(std::move(config)),
       source_(std::move(source)),
       seed_timestamp_(seed_timestamp) {
-  rib_.seed(rib);
+  rib_.seed(std::move(rib));
 }
 
 void IncrementalCensus::apply(std::uint32_t timestamp, const mrt::Bgp4mpMessage& msg) {
@@ -36,9 +36,9 @@ void IncrementalCensus::apply(std::uint32_t timestamp, const mrt::Bgp4mpMessage&
   last_timestamp_ = timestamp;
 }
 
-EpochReport IncrementalCensus::recompute(ThreadPool& pool) const {
+EpochReport IncrementalCensus::recompute(ThreadPool& pool) {
   EpochReport epoch;
-  epoch.report = core::run_census(rib_.materialize(), dict_, config_, pool);
+  epoch.report = core::run_census(rib_.fold(), dict_, config_, pool);
   epoch.applied = applied_;
   epoch.last_timestamp = applied_ == 0 ? seed_timestamp_ : last_timestamp_;
   epoch.snap = core::to_snapshot(epoch.report, source_, epoch.last_timestamp);

@@ -1,13 +1,14 @@
 // The continuous census: a live::ObservedRib kept current by BGP4MP
 // updates, and the epochs cut from it.
 //
-// apply() folds one message into the keyed RIB and records which ASes,
-// prefixes and links it touched.  recompute() materializes the RIB
-// (canonical key order) and runs core::run_census on it, full config —
-// byte-identical to the batch pipeline on the same route set BY
-// CONSTRUCTION.  That is the equivalence oracle the live subsystem hangs
-// from, and the epoch is what serve --follow publishes as a snapshot.
-// Every census number the live path reports comes from an epoch.
+// apply() folds one message into the keyed RIB's overlay and records which
+// ASes, prefixes and links it touched.  recompute() merges the overlay into
+// the RIB's key-sorted table and runs core::run_census on that table in
+// place, full config — byte-identical to the batch pipeline on the same
+// route set BY CONSTRUCTION, and with no copy of the RIB per epoch.  That is
+// the equivalence oracle the live subsystem hangs from, and the epoch is
+// what serve --follow publishes as a snapshot.  Every census number the
+// live path reports comes from an epoch.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,10 @@ struct EpochReport {
 
 class IncrementalCensus {
  public:
-  /// Copies the dictionary and config; seeds the live RIB from `rib`
-  /// (last-wins per key).  `source` labels the snapshots recompute() emits
-  /// (typically the RIB file path).
-  IncrementalCensus(const mrt::ObservedRib& rib, rpsl::CommunityDictionary dict,
+  /// Seeds the live RIB from `rib` (last-wins per key; pass an rvalue and
+  /// its routes become the table without a copy).  `source` labels the
+  /// snapshots recompute() emits (typically the RIB file path).
+  IncrementalCensus(mrt::ObservedRib rib, rpsl::CommunityDictionary dict,
                     core::InferenceConfig config, std::string source,
                     std::uint32_t seed_timestamp = 0);
 
@@ -56,14 +57,15 @@ class IncrementalCensus {
   std::uint32_t last_timestamp() const { return last_timestamp_; }
   const ObservedRib& rib() const { return rib_; }
 
-  /// The authoritative epoch: run the full batch census over the
-  /// materialized RIB on `pool`.  Byte-identical to core::run_census on
-  /// mrt-level state; the snapshot is stamped with the last applied MRT
+  /// The authoritative epoch: fold the updates applied since the last
+  /// epoch into the RIB's table, then run the full batch census over that
+  /// table on `pool`.  Byte-identical to core::run_census on mrt-level
+  /// state; the snapshot is stamped with the last applied MRT
   /// timestamp (or the seed timestamp before any applies) so identical
   /// streams produce identical bytes.  Carries the churn counts since
   /// construction or the last reset_epoch_churn(); the caller decides when
   /// an epoch ends.
-  EpochReport recompute(ThreadPool& pool) const;
+  EpochReport recompute(ThreadPool& pool);
 
   /// Start the next epoch's churn sets from empty.
   void reset_epoch_churn();

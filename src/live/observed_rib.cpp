@@ -1,5 +1,6 @@
 #include "live/observed_rib.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "bgp/as_path.hpp"
@@ -24,14 +25,55 @@ void require_family(const Prefix& prefix, IpVersion af, const char* field) {
   }
 }
 
+RouteKey key_of(const mrt::ObservedRoute& route) {
+  return RouteKey{route.af, route.prefix, route.peer_asn};
+}
+
+bool key_less(const mrt::ObservedRoute& a, const mrt::ObservedRoute& b) {
+  return key_of(a) < key_of(b);
+}
+
+/// Append `table` with `overlay` laid over it to `out`, in key order: an
+/// overlay entry replaces the table's route under its key (nullopt drops
+/// it).  `take` copies or moves a route out of its source, so one merge
+/// serves fold() and materialize().
+template <typename Routes, typename Overlay, typename Take>
+void merge(Routes& table, Overlay& overlay, std::vector<mrt::ObservedRoute>& out, Take take) {
+  auto slot = overlay.begin();
+  const auto emit = [&](auto& entry) {
+    if (entry.second) out.push_back(take(*entry.second));
+  };
+  for (auto& route : table) {
+    const RouteKey key = key_of(route);
+    for (; slot != overlay.end() && slot->first < key; ++slot) emit(*slot);
+    if (slot != overlay.end() && slot->first == key) {
+      emit(*slot++);
+    } else {
+      out.push_back(take(route));
+    }
+  }
+  for (; slot != overlay.end(); ++slot) emit(*slot);
+}
+
 }  // namespace
 
-void ObservedRib::seed(const mrt::ObservedRib& rib) {
-  for (const auto& route : rib.routes()) {
-    RouteKey key{route.af, route.prefix, route.peer_asn};
-    auto [it, inserted] = routes_.insert_or_assign(key, route);
-    if (inserted) (route.af == IpVersion::V4 ? v4_count_ : v6_count_)++;
+void ObservedRib::seed(mrt::ObservedRib rib) {
+  std::vector<mrt::ObservedRoute> routes = rib.release();
+  if (!std::is_sorted(routes.begin(), routes.end(), key_less)) {
+    std::stable_sort(routes.begin(), routes.end(), key_less);
   }
+  // Rows sharing a key are now adjacent, in input order: keep each run's last.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    if (i + 1 < routes.size() && !key_less(routes[i], routes[i + 1])) continue;
+    if (kept != i) routes[kept] = std::move(routes[i]);
+    ++kept;
+  }
+  routes.resize(kept);
+  table_ = mrt::ObservedRib(std::move(routes));
+  overlay_.clear();
+  v4_count_ = table_.size_of(IpVersion::V4);
+  v6_count_ = table_.size_of(IpVersion::V6);
 }
 
 ApplyDelta ObservedRib::apply(const mrt::Bgp4mpMessage& msg) {
@@ -98,43 +140,66 @@ ApplyDelta ObservedRib::apply(const mrt::Bgp4mpMessage& msg) {
   return delta;
 }
 
-void ObservedRib::insert(mrt::ObservedRoute route, ApplyDelta& delta) {
-  const IpVersion af = route.af;
-  RouteKey key{route.af, route.prefix, route.peer_asn};
-  auto it = routes_.find(key);
-  if (it == routes_.end()) {
-    delta.added.push_back(route);
-    routes_.emplace(std::move(key), std::move(route));
-    (af == IpVersion::V4 ? v4_count_ : v6_count_)++;
-    stats_.announced++;
-    return;
+const mrt::ObservedRoute* ObservedRib::held(const RouteKey& key) const {
+  if (const auto slot = overlay_.find(key); slot != overlay_.end()) {
+    return slot->second ? &*slot->second : nullptr;
   }
-  if (it->second == route) {
+  const auto& routes = table_.routes();
+  const auto it = std::lower_bound(
+      routes.begin(), routes.end(), key,
+      [](const mrt::ObservedRoute& route, const RouteKey& k) { return key_of(route) < k; });
+  return it != routes.end() && key_of(*it) == key ? &*it : nullptr;
+}
+
+void ObservedRib::insert(mrt::ObservedRoute route, ApplyDelta& delta) {
+  const mrt::ObservedRoute* old = held(key_of(route));
+  if (old != nullptr && *old == route) {
     stats_.duplicates++;
     return;
   }
-  delta.removed.push_back(std::move(it->second));
+  const bool replacing = old != nullptr;
+  if (replacing) delta.removed.push_back(*old);
   delta.added.push_back(route);
-  it->second = std::move(route);
-  stats_.replaced++;
+  const IpVersion af = route.af;
+  overlay_.insert_or_assign(key_of(route), std::move(route));
+  if (replacing) {
+    stats_.replaced++;
+  } else {
+    (af == IpVersion::V4 ? v4_count_ : v6_count_)++;
+    stats_.announced++;
+  }
 }
 
 void ObservedRib::erase(const RouteKey& key, ApplyDelta& delta) {
-  auto it = routes_.find(key);
-  if (it == routes_.end()) {
+  const mrt::ObservedRoute* old = held(key);
+  if (old == nullptr) {
     stats_.withdrawn_missing++;
     return;
   }
-  delta.removed.push_back(std::move(it->second));
-  routes_.erase(it);
+  delta.removed.push_back(*old);
+  overlay_.insert_or_assign(key, std::nullopt);
   (key.af == IpVersion::V4 ? v4_count_ : v6_count_)--;
   stats_.withdrawn++;
 }
 
+const mrt::ObservedRib& ObservedRib::fold() {
+  if (overlay_.empty()) return table_;
+  std::vector<mrt::ObservedRoute> merged;
+  merged.reserve(size());  // the one step that can throw, taken before the table moves
+  std::vector<mrt::ObservedRoute> routes = table_.release();
+  merge(routes, overlay_, merged,
+        [](mrt::ObservedRoute& route) -> mrt::ObservedRoute&& { return std::move(route); });
+  table_ = mrt::ObservedRib(std::move(merged));
+  overlay_.clear();
+  return table_;
+}
+
 mrt::ObservedRib ObservedRib::materialize() const {
-  mrt::ObservedRib out;
-  for (const auto& [key, route] : routes_) out.add(route);
-  return out;
+  std::vector<mrt::ObservedRoute> routes;
+  routes.reserve(size());
+  merge(table_.routes(), overlay_, routes,
+        [](const mrt::ObservedRoute& route) -> const mrt::ObservedRoute& { return route; });
+  return mrt::ObservedRib(std::move(routes));
 }
 
 }  // namespace htor::live

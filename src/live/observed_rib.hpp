@@ -4,25 +4,32 @@
 // a (family, prefix, vantage-peer) keyed table that BGP4MP UPDATEs announce
 // into and withdraw from, one message at a time.
 //
+// The routes live in one mrt::ObservedRib, the table, sorted by key with one
+// route per key.  apply() never touches it: it writes the keys it changes
+// into a small overlay (a withdrawn key holds nullopt), and fold() merges
+// the overlay into the table in one linear pass.  The census reads the
+// folded table in place, so an epoch copies no route.
+//
 // Two invariants make this the foundation of the continuous census:
 //
 //   1. Strong exception safety per message.  apply() validates the whole
-//      message before touching the table; a malformed update (announced
+//      message before touching the overlay; a malformed update (announced
 //      prefixes with no AS_PATH, family mismatch between prefix and field)
 //      throws DecodeError and leaves the RIB exactly as it was.  The fuzz
 //      harness holds this as its oracle.
 //
-//   2. Canonical materialization.  materialize() walks the table in key
-//      order — (family, prefix, peer), all totally ordered — so two RIBs
-//      holding the same route set produce byte-identical mrt::ObservedRibs
-//      no matter what sequence of applies built them.  This is what lets a
-//      live epoch's census be compared byte-for-byte against
-//      core::run_census over the "same" RIB.
+//   2. Canonical order.  The table is kept in key order — (family, prefix,
+//      peer), all totally ordered — so two RIBs holding the same route set
+//      have route-for-route identical tables no matter what sequence of
+//      applies and folds built them.  This is what lets a live epoch's
+//      census be compared byte-for-byte against core::run_census over the
+//      "same" RIB.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "mrt/record.hpp"
@@ -64,31 +71,47 @@ struct ApplyStats {
 
 class ObservedRib {
  public:
-  /// Install every route of a batch-loaded RIB, last-wins per key (matching
-  /// how a real table would converge after replaying the dump in order).
-  void seed(const mrt::ObservedRib& rib);
+  /// Start from a batch-loaded RIB, last-wins per key (matching how a real
+  /// table would converge after replaying the dump in order).  The routes
+  /// are sorted by key in place, stably and only when out of order, and
+  /// become the table.  Whatever the RIB held before is dropped; stats()
+  /// carries on.
+  void seed(mrt::ObservedRib rib);
 
   /// Apply one BGP4MP message.  UPDATEs install/replace announced routes and
   /// erase withdrawn ones; OPEN/KEEPALIVE/NOTIFICATION are counted no-ops.
   /// Validates before mutating: on DecodeError the RIB is untouched.
   ApplyDelta apply(const mrt::Bgp4mpMessage& msg);
 
-  std::size_t size() const { return routes_.size(); }
+  std::size_t size() const { return v4_count_ + v6_count_; }
   std::size_t size_of(IpVersion af) const {
     return af == IpVersion::V4 ? v4_count_ : v6_count_;
   }
   const ApplyStats& stats() const { return stats_; }
 
-  /// The current table as a batch-pipeline RIB, routes in canonical
-  /// (family, prefix, peer) order — identical for any apply history that
-  /// reaches the same route set.
+  /// Merge the changes applied since the last fold into the table and
+  /// return it: every route in canonical (family, prefix, peer) order,
+  /// identical for any apply history that reaches the same route set.  One
+  /// linear move pass; apply() leaves the table alone, so it changes only
+  /// at the next fold() or seed().
+  const mrt::ObservedRib& fold();
+
+  /// A copy of the current routes, in the order fold() would leave them,
+  /// without folding: for checks that compare the live RIB to a reference.
+  /// The epoch path uses fold().
   mrt::ObservedRib materialize() const;
 
  private:
+  using Overlay = std::map<RouteKey, std::optional<mrt::ObservedRoute>>;
+
+  /// The route held under `key`, or null: the overlay's entry when it has
+  /// one, else the table's.
+  const mrt::ObservedRoute* held(const RouteKey& key) const;
   void insert(mrt::ObservedRoute route, ApplyDelta& delta);
   void erase(const RouteKey& key, ApplyDelta& delta);
 
-  std::map<RouteKey, mrt::ObservedRoute> routes_;
+  mrt::ObservedRib table_;  ///< sorted by key, one route per key
+  Overlay overlay_;         ///< keys changed since the last fold
   std::size_t v4_count_ = 0;
   std::size_t v6_count_ = 0;
   ApplyStats stats_;

@@ -4,6 +4,7 @@
 #include <future>
 #include <map>
 #include <unordered_map>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -25,6 +26,12 @@ void join_rib_record(const RibPrefixRecord& rib_rec, const PeerIndexTable& peers
     route.communities = entry.attrs.communities;
     out.push_back(std::move(route));
   }
+}
+
+ObservedRib::ObservedRib(std::vector<ObservedRoute> routes) : routes_(std::move(routes)) {
+  v4_count_ = static_cast<std::size_t>(std::count_if(
+      routes_.begin(), routes_.end(), [](const auto& r) { return r.af == IpVersion::V4; }));
+  v6_count_ = routes_.size() - v4_count_;
 }
 
 void ObservedRib::add(ObservedRoute route) {
@@ -66,6 +73,12 @@ void ObservedRib::append(std::vector<std::vector<ObservedRoute>> shards, ThreadP
   for (auto& count : v4_counts) v4 += count.get();
   v4_count_ += v4;
   v6_count_ += total - before - v4;
+}
+
+std::vector<ObservedRoute> ObservedRib::release() {
+  v4_count_ = 0;
+  v6_count_ = 0;
+  return std::exchange(routes_, {});
 }
 
 std::vector<const ObservedRoute*> ObservedRib::routes_of(IpVersion af) const {

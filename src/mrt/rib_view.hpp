@@ -33,6 +33,11 @@ struct ObservedRoute {
 
 class ObservedRib {
  public:
+  ObservedRib() = default;
+
+  /// Adopt `routes` as the table, in their order, counting each family.
+  explicit ObservedRib(std::vector<ObservedRoute> routes);
+
   void add(ObservedRoute route);
 
   /// Append decoded shards, shard 0's routes first.  The table grows once
@@ -43,6 +48,9 @@ class ObservedRib {
   void append(std::vector<std::vector<ObservedRoute>> shards, ThreadPool& pool);
 
   const std::vector<ObservedRoute>& routes() const { return routes_; }
+
+  /// Hand the route table over, leaving this RIB empty.
+  std::vector<ObservedRoute> release();
 
   /// Routes of one family, by reference into routes().
   std::vector<const ObservedRoute*> routes_of(IpVersion af) const;

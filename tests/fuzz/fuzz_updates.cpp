@@ -1,5 +1,5 @@
 // Fuzz target: the BGP4MP update path — MrtStreamReader::next_update framing,
-// BGP UPDATE decode, and live::ObservedRib::apply, read the way
+// BGP UPDATE decode, and live::ObservedRib::apply and fold, read the way
 // live::Pipeline::feed reads an update file.
 //
 // Contract asserted per input: every BGP4MP message frame decodes and
@@ -9,7 +9,11 @@
 // target asserts the apply-side strong exception guarantee: when apply()
 // rejects a message, the observed RIB must be byte-identical to its state
 // before the call (a torn table would silently poison every later census
-// epoch, which is why the validation happens before any mutation).
+// epoch, which is why the validation happens before any mutation).  The
+// input picks the epoch cuts: after each frame whose MRT timestamp is a
+// multiple of 3 the RIB folds its overlay into its sorted table, as an
+// epoch does, and the fold must leave the route set unchanged.  So the
+// guarantee is held over routes in the table and in the overlay both.
 #include "fuzz/driver.hpp"
 
 #include "live/observed_rib.hpp"
@@ -37,6 +41,12 @@ int main(int argc, char** argv) {
               throw std::logic_error("apply() threw but mutated the observed RIB");
             }
             throw;  // still a reasoned rejection for the harness tally
+          }
+          if (raw->timestamp % 3 == 0) {
+            const auto unfolded = rib.materialize();
+            if (rib.fold().routes() != unfolded.routes()) {
+              throw std::logic_error("fold() changed the observed RIB's routes");
+            }
           }
         }
         return fuzz::Outcome::Parsed;

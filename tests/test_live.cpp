@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "obs/metrics.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/writer.hpp"
+#include "util/rng.hpp"
 
 namespace htor::live {
 namespace {
@@ -186,16 +188,121 @@ TEST(ObservedRibApply, FamilyMismatchThrowsWithoutMutating) {
   EXPECT_EQ(rib.size(), 0u);
 }
 
+/// The routes of a key-ordered reference table, in its order.
+std::vector<mrt::ObservedRoute> walk(const std::map<RouteKey, mrt::ObservedRoute>& table) {
+  std::vector<mrt::ObservedRoute> out;
+  for (const auto& [key, route] : table) out.push_back(route);
+  return out;
+}
+
+/// The last-wins table of `routes` read in order.
+std::map<RouteKey, mrt::ObservedRoute> last_wins_table(
+    const std::vector<mrt::ObservedRoute>& routes) {
+  std::map<RouteKey, mrt::ObservedRoute> table;
+  for (const auto& route : routes) {
+    table.insert_or_assign(RouteKey{route.af, route.prefix, route.peer_asn}, route);
+  }
+  return table;
+}
+
+/// A twin of `route` under the same key that differs in its attributes.
+mrt::ObservedRoute twin_of(const mrt::ObservedRoute& route) {
+  mrt::ObservedRoute twin = route;
+  twin.local_pref = route.local_pref.value_or(0) + 1;
+  twin.communities.clear();
+  return twin;
+}
+
+// The seed RIB may list a key more than once, in any order: the live table
+// keeps the last row of each key, in key order.  Both the shuffled input
+// (sorted by the seed) and an already-sorted one (kept in place) are held to
+// the last-wins map.
 TEST(ObservedRibApply, SeedIsLastWinsPerKey) {
   const World& w = world();
-  ObservedRib rib;
-  rib.seed(w.rib);
-  EXPECT_EQ(rib.size(), w.rib.size());  // the generator dedups per key upstream
-  EXPECT_EQ(rib.size_of(IpVersion::V4), w.rib.size_of(IpVersion::V4));
-  EXPECT_EQ(rib.size_of(IpVersion::V6), w.rib.size_of(IpVersion::V6));
+  std::vector<mrt::ObservedRoute> rows = w.rib.routes();
+  for (std::size_t i = 0; i < w.rib.size(); i += 7) rows.push_back(twin_of(rows[i]));
+  Rng rng(11);
+  rng.shuffle(rows);
+  const auto shuffled_table = last_wins_table(rows);
+  ASSERT_LT(shuffled_table.size(), rows.size()) << "the input must repeat keys";
+  ASSERT_NE(walk(shuffled_table), walk(last_wins_table(w.rib.routes())))
+      << "some repeated key must keep a row other than the generator's";
+
+  std::vector<mrt::ObservedRoute> sorted_rows;
+  const auto generator_table = last_wins_table(w.rib.routes());
+  for (const auto& [key, route] : generator_table) {
+    sorted_rows.push_back(route);
+    if (sorted_rows.size() % 5 == 0) sorted_rows.push_back(twin_of(route));
+  }
+  const auto sorted_table = last_wins_table(sorted_rows);
+  ASSERT_LT(sorted_table.size(), sorted_rows.size());
+
+  for (const auto* input : {&rows, &sorted_rows}) {
+    const auto want = last_wins_table(*input);
+    ObservedRib rib;
+    rib.seed(mrt::ObservedRib(*input));
+    EXPECT_EQ(rib.materialize().routes(), walk(want));
+    EXPECT_EQ(rib.fold().routes(), walk(want));
+    EXPECT_EQ(rib.size(), want.size());
+    const auto v6 = static_cast<std::size_t>(std::count_if(
+        want.begin(), want.end(), [](const auto& kv) { return kv.first.af == IpVersion::V6; }));
+    EXPECT_EQ(rib.size_of(IpVersion::V6), v6);
+    EXPECT_EQ(rib.size_of(IpVersion::V4), want.size() - v6);
+  }
 }
 
 // --------------------------------------------- independent replay oracle
+
+/// Applies one UPDATE to a plain key -> route map the way RFC 4271 reads
+/// it (every withdraw, then every announce), counting into `stats` as
+/// ApplyStats defines its fields.
+void reference_apply(std::map<RouteKey, mrt::ObservedRoute>& table,
+                     const mrt::Bgp4mpMessage& msg, ApplyStats& stats) {
+  const auto& update = std::get<bgp::UpdateMessage>(msg.message);
+  const auto withdraw = [&](IpVersion af, const Prefix& p) {
+    if (table.erase(RouteKey{af, p, msg.peer_as}) == 1) {
+      ++stats.withdrawn;
+    } else {
+      ++stats.withdrawn_missing;
+    }
+  };
+  for (const auto& p : update.withdrawn) withdraw(IpVersion::V4, p);
+  if (update.attrs.mp_unreach) {
+    for (const auto& p : update.attrs.mp_unreach->withdrawn) withdraw(IpVersion::V6, p);
+  }
+  const auto announce = [&](IpVersion af, const Prefix& p) {
+    mrt::ObservedRoute route;
+    route.af = af;
+    route.prefix = p;
+    route.peer_asn = msg.peer_as;
+    route.as_path = update.attrs.as_path.flatten();
+    route.local_pref = update.attrs.local_pref;
+    route.communities = update.attrs.communities;
+    const auto [it, fresh] = table.try_emplace(RouteKey{af, p, msg.peer_as}, route);
+    if (fresh) {
+      ++stats.announced;
+    } else if (it->second == route) {
+      ++stats.duplicates;
+    } else {
+      it->second = std::move(route);
+      ++stats.replaced;
+    }
+  };
+  for (const auto& p : update.nlri) announce(IpVersion::V4, p);
+  if (update.attrs.mp_reach) {
+    for (const auto& p : update.attrs.mp_reach->nlri) announce(IpVersion::V6, p);
+  }
+  ++stats.messages;
+}
+
+/// The batch census over a reference table, as snapshot bytes.
+std::vector<std::uint8_t> reference_census(const std::map<RouteKey, mrt::ObservedRoute>& table,
+                                           const rpsl::CommunityDictionary& dict,
+                                           ThreadPool& pool, std::uint32_t timestamp) {
+  const auto report =
+      core::run_census(mrt::ObservedRib(walk(table)), dict, core::InferenceConfig{}, pool);
+  return snapshot::Writer::encode(core::to_snapshot(report, kSource, timestamp));
+}
 
 /// Applies the first `count` update records to the seed RIB with
 /// test-local logic (an insert-or-assign/erase map keyed like the live
@@ -204,45 +311,15 @@ TEST(ObservedRibApply, SeedIsLastWinsPerKey) {
 /// epochs are measured against.
 std::vector<std::uint8_t> replay_reference(const World& w, std::size_t count,
                                            ThreadPool& pool) {
-  std::map<RouteKey, mrt::ObservedRoute> table;
-  for (const auto& route : w.rib.routes()) {
-    table.insert_or_assign(RouteKey{route.af, route.prefix, route.peer_asn}, route);
-  }
+  auto table = last_wins_table(w.rib.routes());
+  ApplyStats stats;
   std::uint32_t last_ts = kSeedTimestamp;
   for (std::size_t i = 0; i < count && i < w.updates.size(); ++i) {
     const auto& record = w.updates[i];
-    const auto& msg = std::get<mrt::Bgp4mpMessage>(record.body);
-    const auto& update = std::get<bgp::UpdateMessage>(msg.message);
-    for (const auto& p : update.withdrawn) {
-      table.erase(RouteKey{IpVersion::V4, p, msg.peer_as});
-    }
-    if (update.attrs.mp_unreach) {
-      for (const auto& p : update.attrs.mp_unreach->withdrawn) {
-        table.erase(RouteKey{IpVersion::V6, p, msg.peer_as});
-      }
-    }
-    const auto announce = [&](IpVersion af, const Prefix& p) {
-      mrt::ObservedRoute route;
-      route.af = af;
-      route.prefix = p;
-      route.peer_asn = msg.peer_as;
-      route.as_path = update.attrs.as_path.flatten();
-      route.local_pref = update.attrs.local_pref;
-      route.communities = update.attrs.communities;
-      table.insert_or_assign(RouteKey{af, p, msg.peer_as}, std::move(route));
-    };
-    for (const auto& p : update.nlri) announce(IpVersion::V4, p);
-    if (update.attrs.mp_reach) {
-      for (const auto& p : update.attrs.mp_reach->nlri) announce(IpVersion::V6, p);
-    }
+    reference_apply(table, std::get<mrt::Bgp4mpMessage>(record.body), stats);
     last_ts = record.timestamp;
   }
-
-  mrt::ObservedRib rib;
-  for (const auto& [key, route] : table) rib.add(route);
-  core::InferenceConfig config;
-  const auto report = core::run_census(rib, w.dict, config, pool);
-  return snapshot::Writer::encode(core::to_snapshot(report, kSource, last_ts));
+  return reference_census(table, w.dict, pool, last_ts);
 }
 
 TEST(IncrementalCensus, SeedEpochMatchesBatchCensus) {
@@ -415,6 +492,207 @@ TEST(LivePipeline, EpochChurnIsExactAndEpochScoped) {
   EXPECT_EQ(seen[0], (Churn{2, 4, 3}));
   EXPECT_EQ(seen[1], (Churn{1, 3, 2}));
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------------------- model test
+
+/// Key space of the model streams: three peers and four prefixes per
+/// family.  10.1.0.0/16 and ::a01:0/112 (the same 32 bits) are one prefix
+/// in both families.
+const std::vector<Asn> kModelPeers = {65001, 65002, 65003};
+
+std::vector<Prefix> model_prefixes() {
+  std::vector<Prefix> out;
+  for (const char* text : {"10.1.0.0/16", "10.1.0.0/24", "10.2.0.0/16", "192.0.2.0/24",
+                           "::a01:0/112", "2001:db8::/32", "2001:db8:1::/48", "2001:db8:2::/48"}) {
+    out.push_back(Prefix::parse(text));
+  }
+  return out;
+}
+
+/// Route attributes drawn from a handful of paths, LocPrfs and communities.
+struct ModelAttrs {
+  std::vector<Asn> path;
+  std::optional<std::uint32_t> local_pref;
+  std::vector<bgp::Community> communities;
+};
+
+ModelAttrs random_attrs(Rng& rng, Asn peer) {
+  ModelAttrs attrs;
+  attrs.path = {peer, rng.uniform(0, 1) == 0 ? Asn{3356} : Asn{1299},
+                static_cast<Asn>(64600 + rng.uniform(0, 2))};
+  if (rng.chance(0.3)) attrs.local_pref = 100 + 10 * rng.uniform(0, 1);
+  if (rng.chance(0.3)) attrs.communities = {bgp::Community(3356, 2000)};
+  return attrs;
+}
+
+/// One UPDATE from `peer`: each prefix goes to its family's withdraw or
+/// announce field (IPv4 in the body, IPv6 in MP_UNREACH / MP_REACH).
+mrt::Bgp4mpMessage model_update(Asn peer, const std::vector<Prefix>& withdrawn,
+                                const std::vector<Prefix>& announced, const ModelAttrs& attrs) {
+  bgp::UpdateMessage update;
+  for (const auto& p : withdrawn) {
+    if (p.version() == IpVersion::V4) {
+      update.withdrawn.push_back(p);
+    } else {
+      if (!update.attrs.mp_unreach) update.attrs.mp_unreach.emplace();
+      update.attrs.mp_unreach->withdrawn.push_back(p);
+    }
+  }
+  if (!announced.empty()) {
+    update.attrs.origin = bgp::Origin::Igp;
+    update.attrs.as_path = bgp::AsPath::sequence(attrs.path);
+    update.attrs.local_pref = attrs.local_pref;
+    update.attrs.communities = attrs.communities;
+  }
+  for (const auto& p : announced) {
+    if (p.version() == IpVersion::V4) {
+      update.attrs.next_hop = IpAddress::parse("10.0.0.1");
+      update.nlri.push_back(p);
+    } else {
+      if (!update.attrs.mp_reach) {
+        update.attrs.mp_reach.emplace();
+        update.attrs.mp_reach->next_hops = {IpAddress::parse("2001:db8::1")};
+      }
+      update.attrs.mp_reach->nlri.push_back(p);
+    }
+  }
+  return wrap_update(peer, std::move(update));
+}
+
+void expect_same_stats(const ApplyStats& got, const ApplyStats& want) {
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.announced, want.announced);
+  EXPECT_EQ(got.replaced, want.replaced);
+  EXPECT_EQ(got.duplicates, want.duplicates);
+  EXPECT_EQ(got.withdrawn, want.withdrawn);
+  EXPECT_EQ(got.withdrawn_missing, want.withdrawn_missing);
+}
+
+// The live RIB against a plain map.  Seeded random streams announce new
+// keys, replace and identically re-announce held ones, withdraw held and
+// missing keys, withdraw and re-announce one key inside an epoch, and touch
+// one prefix in both families, folding at random points.  After every
+// message the copy for checks equals the map walk and the counters agree;
+// after every fold the census over the table, at 1 and 4 jobs, equals the
+// census over the map.
+TEST(ObservedRibModel, RandomStreamsMatchAPlainMap) {
+  const std::vector<Prefix> prefixes = model_prefixes();
+  const rpsl::CommunityDictionary dict;
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  ApplyStats total;
+  std::size_t folds = 0;
+  std::size_t flaps = 0;
+  std::size_t two_family_messages = 0;
+
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("stream seed " + std::to_string(seed));
+    Rng rng(seed);
+
+    // A seed RIB over part of the key space, shuffled, some keys twice.
+    std::vector<mrt::ObservedRoute> seed_rows;
+    for (const Asn peer : kModelPeers) {
+      for (const auto& prefix : prefixes) {
+        const int rows = rng.chance(0.5) ? 0 : (rng.chance(0.2) ? 2 : 1);
+        for (int i = 0; i < rows; ++i) {
+          const ModelAttrs attrs = random_attrs(rng, peer);
+          seed_rows.push_back(mrt::ObservedRoute{prefix.version(), prefix, peer, attrs.path,
+                                                 attrs.local_pref, attrs.communities});
+        }
+      }
+    }
+    rng.shuffle(seed_rows);
+    auto model = last_wins_table(seed_rows);
+    ApplyStats model_stats;
+    ObservedRib rib;
+    rib.seed(mrt::ObservedRib(seed_rows));
+
+    const auto check = [&] {
+      ASSERT_EQ(rib.materialize().routes(), walk(model));
+      expect_same_stats(rib.stats(), model_stats);
+      const auto v6 = static_cast<std::size_t>(std::count_if(
+          model.begin(), model.end(), [](const auto& kv) { return kv.first.af == IpVersion::V6; }));
+      ASSERT_EQ(rib.size(), model.size());
+      ASSERT_EQ(rib.size_of(IpVersion::V6), v6);
+      ASSERT_EQ(rib.size_of(IpVersion::V4), model.size() - v6);
+    };
+    const auto send = [&](const mrt::Bgp4mpMessage& msg) {
+      const auto& update = std::get<bgp::UpdateMessage>(msg.message);
+      if (!update.nlri.empty() && update.attrs.mp_reach) ++two_family_messages;
+      rib.apply(msg);
+      reference_apply(model, msg, model_stats);
+      check();
+    };
+    const auto random_prefixes = [&] {
+      std::vector<Prefix> out{rng.pick(prefixes)};
+      if (rng.chance(0.4)) out.push_back(rng.pick(prefixes));
+      return out;
+    };
+
+    check();
+    for (int step = 0; step < 200; ++step) {
+      const Asn peer = rng.pick(kModelPeers);
+      switch (rng.index(5)) {
+        case 0:  // withdraw, held or not
+          send(model_update(peer, random_prefixes(), {}, {}));
+          break;
+        case 1:  // announce: a new key or a replace
+          send(model_update(peer, {}, random_prefixes(), random_attrs(rng, peer)));
+          break;
+        case 2: {  // one prefix withdrawn and announced in one message
+          const auto both = random_prefixes();
+          send(model_update(peer, both, both, random_attrs(rng, peer)));
+          break;
+        }
+        case 3: {  // an identical re-announce of a held route
+          if (model.empty()) break;
+          auto held = model.begin();
+          std::advance(held, static_cast<std::ptrdiff_t>(rng.index(model.size())));
+          const mrt::ObservedRoute& route = held->second;
+          send(model_update(route.peer_asn, {}, {route.prefix},
+                            {route.as_path, route.local_pref, route.communities}));
+          break;
+        }
+        case 4: {  // withdraw a held key, then re-announce it before the fold
+          if (model.empty()) break;
+          auto held = model.begin();
+          std::advance(held, static_cast<std::ptrdiff_t>(rng.index(model.size())));
+          const RouteKey key = held->first;
+          send(model_update(key.peer, {key.prefix}, {}, {}));
+          send(model_update(key.peer, {}, {key.prefix}, random_attrs(rng, key.peer)));
+          ++flaps;
+          break;
+        }
+      }
+      if (rng.chance(0.15)) {
+        const mrt::ObservedRib& table = rib.fold();
+        ++folds;
+        ASSERT_EQ(table.routes(), walk(model));
+        const auto want = reference_census(model, dict, pool1, kSeedTimestamp);
+        for (ThreadPool* pool : {&pool1, &pool4}) {
+          const auto report = core::run_census(table, dict, core::InferenceConfig{}, *pool);
+          EXPECT_EQ(snapshot::Writer::encode(core::to_snapshot(report, kSource, kSeedTimestamp)),
+                    want)
+              << "census over the folded table at jobs " << pool->concurrency();
+        }
+      }
+    }
+    total.announced += model_stats.announced;
+    total.replaced += model_stats.replaced;
+    total.duplicates += model_stats.duplicates;
+    total.withdrawn += model_stats.withdrawn;
+    total.withdrawn_missing += model_stats.withdrawn_missing;
+  }
+  // The streams reached every case they were written for.
+  EXPECT_GT(total.announced, 0u);
+  EXPECT_GT(total.replaced, 0u);
+  EXPECT_GT(total.duplicates, 0u);
+  EXPECT_GT(total.withdrawn, 0u);
+  EXPECT_GT(total.withdrawn_missing, 0u);
+  EXPECT_GT(flaps, 0u);
+  EXPECT_GT(two_family_messages, 0u);
+  EXPECT_GT(folds, 0u);
 }
 
 }  // namespace

@@ -217,10 +217,12 @@ TEST(LiveFollowE2E, ServesQueriesWhileStreamingAndAdvancesEpochs) {
   // The most-voted link of the seed census, so /v1/link answers 200 from
   // epoch 1 on.
   ThreadPool pool(1);
-  const auto epoch0 = service.census().recompute(pool);
-  ASSERT_FALSE(epoch0.report.inferred.top_voted_links.empty());
-  const LinkKey probe = epoch0.report.inferred.top_voted_links.front().link;
-  ASSERT_TRUE(snapshot::QueryIndex(epoch0.snap).lookup(probe.first, probe.second));
+  const auto epoch0 = core::run_census(service.census().rib().materialize(),
+                                       rpsl::load_dictionary(f.irr), core::InferenceConfig{}, pool);
+  ASSERT_FALSE(epoch0.inferred.top_voted_links.empty());
+  const LinkKey probe = epoch0.inferred.top_voted_links.front().link;
+  ASSERT_TRUE(snapshot::QueryIndex(core::to_snapshot(epoch0, f.rib, kRibTimestamp))
+                  .lookup(probe.first, probe.second));
 
   service.start();
   ASSERT_NE(service.port(), 0);

@@ -386,7 +386,7 @@ TEST_F(ParallelFixture, FullCensusMatchesAcrossJobCounts) {
 
 // The census is a function of the route set, not of route order: a
 // shuffled RIB gives the same snapshot bytes at any job count.  This is
-// what lets the live census materialize its table in key order and still
+// what lets the live census keep its table in key order and still
 // equal a census over the dump in file order.
 TEST_F(ParallelFixture, ShuffledRibGivesTheSameSnapshotBytes) {
   const auto snapshot_bytes = [](const mrt::ObservedRib& rib, std::size_t jobs) {

@@ -633,7 +633,7 @@ int cmd_follow(const std::string& rib_path, const std::string& irr_path,
             << rib.size_of(IpVersion::V6) << " IPv6); dictionary: " << dict.size()
             << " communities\n";
 
-  live::IncrementalCensus census(rib, dict, core::InferenceConfig{}, rib_path,
+  live::IncrementalCensus census(std::move(rib), dict, core::InferenceConfig{}, rib_path,
                                  mrt::rib_epoch(rib_path));
 
   live::PipelineConfig pipeline_config;

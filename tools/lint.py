@@ -46,6 +46,12 @@ enforces them over ``src/`` and ``tools/``:
                     directory (which a stream opens on Linux and reads as
                     end-of-file), passes as an empty file.  Read files
                     through util/bytes' load_bytes, which checks each case.
+  live-rib-copy     a call to ``materialize(`` outside live/observed_rib.
+                    live::ObservedRib::materialize() copies every route of
+                    the live RIB; it exists for checks that compare the RIB
+                    to a reference.  An epoch reads the folded table in
+                    place through fold(), so a copy per epoch cannot creep
+                    back into src/ or tools/.
   pragma-once       every header starts its include guard with
                     ``#pragma once``.
   namespace         every file under src/ opens a ``namespace htor`` (or a
@@ -88,6 +94,8 @@ MMAP_HOME = re.compile(r"(^|/)src/(util/mmap_file|snapshot/layout[^/]*)\.(hpp|cp
 # the metrics registry's own cells and the thread pool's executed counter
 # (exposed to the registry via a polled callback).
 OBS_HOME = re.compile(r"(^|/)src/(obs/[^/]+|util/thread_pool)\.(hpp|cpp)$")
+# The one module that may copy the live RIB: the copy's own definition.
+LIVE_RIB_HOME = re.compile(r"(^|/)src/live/observed_rib\.(hpp|cpp)$")
 ALLOW_RE = re.compile(r"//\s*lint:\s*allow\(([\w-]+)\)\s*(.*)$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -127,6 +135,10 @@ def _not_mmap_home(path):
 
 def _not_obs_home(path):
     return not OBS_HOME.search(path)
+
+
+def _not_live_rib_home(path):
+    return not LIVE_RIB_HOME.search(path)
 
 
 LINE_RULES = [
@@ -196,6 +208,13 @@ LINE_RULES = [
         "whole-file read through << rdbuf() hides read errors and reads a "
         "directory as empty; use load_bytes (util/bytes)",
         lambda path: True,
+    ),
+    (
+        "live-rib-copy",
+        re.compile(r"\bmaterialize\s*\("),
+        "materialize() copies the whole live RIB; read the folded table "
+        "through ObservedRib::fold() instead",
+        _not_live_rib_home,
     ),
 ]
 
@@ -343,6 +362,16 @@ SELF_TEST_CASES = [
         {"whole-file-rdbuf"},
     ),
     (
+        "a copy of the live RIB outside its module",
+        "src/live/bad_epoch.cpp",
+        "namespace htor::live {\n"
+        "EpochReport epoch(const ObservedRib& rib, ThreadPool& pool) {\n"
+        "  return census(rib.materialize(), pool);\n"
+        "}\n"
+        "}  // namespace htor::live\n",
+        {"live-rib-copy"},
+    ),
+    (
         "header without pragma once",
         "src/util/bad_header.hpp",
         "namespace htor {\nint x();\n}  // namespace htor\n",
@@ -416,6 +445,16 @@ SELF_TEST_CASES = [
         "  in.rdbuf()->pubsetbuf(io.data(), 4096);\n"
         "}\n"
         "}  // namespace htor\n",
+        set(),
+    ),
+    (
+        "the live RIB's own module defines the copy",
+        "src/live/observed_rib.cpp",
+        "namespace htor::live {\n"
+        "mrt::ObservedRib ObservedRib::materialize() const {\n"
+        "  return mrt::ObservedRib(table_.routes());\n"
+        "}\n"
+        "}  // namespace htor::live\n",
         set(),
     ),
     (
