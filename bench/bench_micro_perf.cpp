@@ -12,7 +12,6 @@
 #include "obs/metrics.hpp"
 #include "snapshot/diff.hpp"
 #include "snapshot/query.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 #include "util/bytes.hpp"
 #include "gen/internet.hpp"
@@ -392,24 +391,17 @@ void BM_SnapshotWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotWrite);
 
-void BM_SnapshotRead(benchmark::State& state) {
-  const auto bytes = snapshot::Writer::encode(snapshot_fixture());
-  for (auto _ : state) {
-    auto snap = snapshot::Reader::decode(bytes);
-    benchmark::DoNotOptimize(snap);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes.size()));
-}
-BENCHMARK(BM_SnapshotRead);
-
+/// snapshot::diff over two indexed images: the merge-walk of their link
+/// tables, with no decode (the indexes are built outside the timed loop).
 void BM_SnapshotDiff(benchmark::State& state) {
-  const auto& a = snapshot_fixture();
+  const auto& snap = snapshot_fixture();
   // Perturbed copy: flip, drop, and widow links so every churn bucket does
   // real work instead of degenerating to the all-unchanged fast path.
-  static const snapshot::Snapshot b = [&] {
-    snapshot::Snapshot copy = a;
+  const snapshot::QueryIndex a(snap);
+  const snapshot::QueryIndex b([&] {
+    snapshot::Snapshot copy = snap;
     std::size_t i = 0;
-    for (const auto& [link, rel] : snapshot::sorted_entries(a.rels_v6)) {
+    for (const auto& [link, rel] : snapshot::sorted_entries(snap.rels_v6)) {
       if (i % 7 == 0) {
         copy.rels_v6.set(link.first, link.second,
                          rel == Relationship::P2P ? Relationship::P2C : Relationship::P2P);
@@ -419,10 +411,10 @@ void BM_SnapshotDiff(benchmark::State& state) {
       ++i;
     }
     return copy;
-  }();
+  }());
   std::uint64_t churn = 0;
   for (auto _ : state) {
-    auto diff = snapshot::diff_snapshots(a, b);
+    auto diff = snapshot::diff(a, b);
     churn = diff.total_churn();
     benchmark::DoNotOptimize(diff);
   }

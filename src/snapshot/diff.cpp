@@ -1,69 +1,59 @@
 #include "snapshot/diff.hpp"
 
-#include <algorithm>
-
 namespace htor::snapshot {
 
 namespace {
 
-std::vector<LinkKey> sorted_hybrid_links(const Snapshot& snap) {
-  std::vector<LinkKey> links;
-  links.reserve(snap.hybrids.size());
-  for (const auto& h : snap.hybrids) links.push_back(h.link);
-  std::sort(links.begin(), links.end());
-  return links;
+LinkKey key_of(const V2View::LinkRow& row) { return LinkKey(row.first, row.second); }
+
+/// File one family's view of a link into its churn bucket; `in_a`/`in_b`
+/// say whether each snapshot's row records the family at all.
+void classify(FamilyDiff& out, const LinkKey& link, bool in_a, Relationship before, bool in_b,
+              Relationship after) {
+  if (in_a && in_b) {
+    if (before != after) {
+      out.flips.push_back({link, before, after});
+    } else {
+      ++out.unchanged;
+    }
+  } else if (in_a) {
+    out.vanished.push_back(link);
+  } else if (in_b) {
+    out.appeared.push_back(link);
+  }
 }
 
 }  // namespace
 
-FamilyDiff diff_relationships(const RelationshipMap& a, const RelationshipMap& b) {
-  const auto ea = sorted_entries(a);
-  const auto eb = sorted_entries(b);
-  FamilyDiff out;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  // Merge-walk the two canonical orderings; each link lands in exactly one
-  // bucket.
-  while (i < ea.size() || j < eb.size()) {
-    if (j == eb.size() || (i < ea.size() && ea[i].first < eb[j].first)) {
-      out.vanished.push_back(ea[i].first);
-      ++i;
-    } else if (i == ea.size() || eb[j].first < ea[i].first) {
-      out.appeared.push_back(eb[j].first);
-      ++j;
-    } else {
-      if (ea[i].second != eb[j].second) {
-        out.flips.push_back({ea[i].first, ea[i].second, eb[j].second});
-      } else {
-        ++out.unchanged;
-      }
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-Diff diff_snapshots(const Snapshot& a, const Snapshot& b) {
+Diff diff(const QueryIndex& a, const QueryIndex& b) {
+  const V2View& va = a.view();
+  const V2View& vb = b.view();
   Diff out;
-  out.v4 = diff_relationships(a.rels_v4, b.rels_v4);
-  out.v6 = diff_relationships(a.rels_v6, b.rels_v6);
-
-  const auto ha = sorted_hybrid_links(a);
-  const auto hb = sorted_hybrid_links(b);
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ha.size() || j < hb.size()) {
-    if (j == hb.size() || (i < ha.size() && ha[i] < hb[j])) {
-      out.hybrids_resolved.push_back(ha[i]);
-      ++i;
-    } else if (i == ha.size() || hb[j] < ha[i]) {
-      out.hybrids_formed.push_back(hb[j]);
-      ++j;
-    } else {
+  const V2View::LinkRow none;  // in no family, not hybrid
+  std::uint64_t i = 0;
+  std::uint64_t j = 0;
+  // Merge-walk the two link tables, both sorted by (first, second).  A link
+  // one side lacks reads as `none` there.
+  while (i < va.link_count || j < vb.link_count) {
+    const bool has_a = i < va.link_count;
+    const bool has_b = j < vb.link_count;
+    const V2View::LinkRow ra = has_a ? va.link_at(i) : none;
+    const V2View::LinkRow rb = has_b ? vb.link_at(j) : none;
+    const bool take_a = has_a && (!has_b || !(key_of(rb) < key_of(ra)));
+    const bool take_b = has_b && (!has_a || !(key_of(ra) < key_of(rb)));
+    i += take_a ? 1 : 0;
+    j += take_b ? 1 : 0;
+    const LinkKey link = key_of(take_a ? ra : rb);
+    const V2View::LinkRow& xa = take_a ? ra : none;
+    const V2View::LinkRow& xb = take_b ? rb : none;
+    classify(out.v4, link, xa.in_v4, xa.rel_v4, xb.in_v4, xb.rel_v4);
+    classify(out.v6, link, xa.in_v6, xa.rel_v6, xb.in_v6, xb.rel_v6);
+    if (xa.hybrid && xb.hybrid) {
       ++out.hybrids_stable;
-      ++i;
-      ++j;
+    } else if (xa.hybrid) {
+      out.hybrids_resolved.push_back(link);
+    } else if (xb.hybrid) {
+      out.hybrids_formed.push_back(link);
     }
   }
   return out;

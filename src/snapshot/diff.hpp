@@ -3,13 +3,15 @@
 // one RIB, p2c in the next), and which dual-stack links became or stopped
 // being hybrid.  This is the temporal measurement the paper motivates —
 // hybrid relationships are interesting precisely because they form and
-// resolve across successive collector RIBs.
+// resolve across successive collector RIBs.  It reads both snapshots as
+// QueryIndex views, so diffing two files costs two validated opens and one
+// linear pass.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "snapshot/snapshot.hpp"
+#include "snapshot/query.hpp"
 
 namespace htor::snapshot {
 
@@ -52,10 +54,10 @@ struct Diff {
   friend bool operator==(const Diff&, const Diff&) = default;
 };
 
-/// Churn from map `a` to map `b` (one address family).
-FamilyDiff diff_relationships(const RelationshipMap& a, const RelationshipMap& b);
-
-/// Full churn report from snapshot `a` to snapshot `b`.
-Diff diff_snapshots(const Snapshot& a, const Snapshot& b);
+/// Full churn report from snapshot `a` to snapshot `b`: one merge-walk over
+/// the two images' sorted link tables, read in place through the rows'
+/// presence and hybrid flags — no map, sort or copy.  Hybrids compare as
+/// sets of links: a hybrid table that lists a link twice counts it once.
+Diff diff(const QueryIndex& a, const QueryIndex& b);
 
 }  // namespace htor::snapshot

@@ -150,15 +150,23 @@ HybridCounters V2View::hybrid_counters() const {
 V2View validate_v2(std::span<const std::uint8_t> data) {
   V2View v;
   v.bytes = data;
+  // Magic and version come first, so a file of another version (even one
+  // shorter than a v2 header) is rejected for its version, not its layout.
+  if (data.size() >= kV2OffVersion + 4) {
+    if (v.u32_at(kV2OffMagic) != kMagic) fail("not a hybridtor snapshot (bad magic)");
+    const std::uint32_t version = v.u32_at(kV2OffVersion);
+    if (version == 1) {
+      fail("snapshot format v1 is no longer read; regenerate the snapshot with "
+           "`hybridtor census --snapshot-out <file>`");
+    }
+    if (version != kFormatVersion) {
+      fail("unsupported snapshot format version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kFormatVersion) + ")");
+    }
+  }
   if (data.size() < kV2HeaderBytes) {
     fail("snapshot v2 header truncated (need " + std::to_string(kV2HeaderBytes) +
          " bytes, have " + std::to_string(data.size()) + ")");
-  }
-  if (v.u32_at(kV2OffMagic) != kMagic) fail("not a hybridtor snapshot (bad magic)");
-  const std::uint32_t version = v.u32_at(kV2OffVersion);
-  if (version != 2) {
-    fail("snapshot format version " + std::to_string(version) +
-         " is not the mmap-able v2 layout");
   }
 
   const std::uint64_t size = data.size();
@@ -312,7 +320,7 @@ V2View validate_v2(std::span<const std::uint8_t> data) {
   // Hybrid entries are stored verbatim (census order, duplicates allowed),
   // but every one must point at a link row flagged hybrid — and every row
   // flagged hybrid must be pointed at, or the flag would not survive a
-  // decode→re-encode round trip.
+  // rebuild→re-encode round trip.
   std::vector<std::uint8_t> seen((v.link_count + 7) / 8, 0);
   for (std::uint64_t i = 0; i < v.hybrid_count; ++i) {
     const std::uint64_t off = v.off_hybrids + kV2HybridRowBytes * i;

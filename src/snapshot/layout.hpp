@@ -27,10 +27,11 @@
 // starts 8-byte aligned with zero padding.  The layout is canonical: strict
 // orders, exact packed offsets, presence-flag rules, and zero padding make
 // the encoding injective — one byte form per snapshot — which keeps the
-// fuzz decode→re-encode identity oracle sound for v2.
+// fuzz validate→rebuild→re-encode identity oracle sound for v2.
 //
-// validate_v2() proves the whole file well-formed (reasoned DecodeError
-// otherwise) before any view is handed out; the accessors below then read
+// validate_v2() is the one way into snapshot bytes: it proves the whole
+// file well-formed (reasoned DecodeError otherwise, version mismatches
+// included) before any view is handed out; the accessors below then read
 // through bounds-checked big-endian loads, so raw-pointer arithmetic never
 // leaks above this module.
 #pragma once
@@ -146,14 +147,17 @@ struct V2View {
   }
 };
 
-/// Validate `data` as one complete v2 snapshot and return its view.  Checks
-/// everything the format promises — magic/version, the declared file size
-/// against the actual byte count, count fields against remaining bytes,
-/// section offsets against the recomputed packed layout, 8-byte alignment
-/// and zero padding, strict canonical orders, flag/relationship/class
-/// ranges, CSR consistency with the link table, hybrid-flag consistency
-/// with the hybrid table, coverage sanity, and the trailer — and throws a
-/// reasoned DecodeError before any view escapes.
+/// Validate `data` as one complete v2 snapshot and return its view.  This is
+/// the only reader of snapshot bytes, so it owns the version check: a v1
+/// file is rejected with a reason naming `hybridtor census --snapshot-out`
+/// as the way to regenerate it, any other version with the version this
+/// build reads.  Past the header it checks everything the format promises —
+/// the declared file size against the actual byte count, count fields
+/// against remaining bytes, section offsets against the recomputed packed
+/// layout, 8-byte alignment and zero padding, strict canonical orders,
+/// flag/relationship/class ranges, CSR consistency with the link table,
+/// hybrid-flag consistency with the hybrid table, coverage sanity, and the
+/// trailer — and throws a reasoned DecodeError before any view escapes.
 V2View validate_v2(std::span<const std::uint8_t> data);
 
 }  // namespace htor::snapshot

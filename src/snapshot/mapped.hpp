@@ -9,16 +9,17 @@
 //                       truncated inode dies with SIGBUS instead of a
 //                       catchable error;
 //   from_map(map)       a read-only mmap (QueryIndex::open_mapped) —
-//                       zero-copy for short-lived CLI lookups, where the
-//                       kernel pages in only what the binary search
-//                       touches.  The mapping pins the original inode, so a
+//                       zero-copy for the short-lived CLI `query` and
+//                       `diff`, where the kernel pages in only what the
+//                       binary search or the link-table walk touches.  The
+//                       mapping pins the original inode, so a
 //                       rename()-replaced file keeps serving its old bytes
 //                       to existing views.
 //
-// Either way the image is fully validated (layout.hpp) before the shared
-// pointer escapes, and QueryIndex views hold the shared_ptr — the image
-// unmaps/frees exactly when the last view drops, which is what lets a view
-// outlive a daemon hot-reload swap.
+// Either way validate_v2 (layout.hpp) checks the whole image, its format
+// version included, before the shared pointer escapes, and QueryIndex views
+// hold the shared_ptr — the image unmaps/frees exactly when the last view
+// drops, which is what lets a view outlive a daemon hot-reload swap.
 #pragma once
 
 #include <cstdint>

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 #include "util/bytes.hpp"
 #include "util/mmap_file.hpp"
@@ -13,9 +12,9 @@ namespace htor::snapshot {
 
 namespace {
 
-/// Count one open attempt; failures (missing file, probe/validate rejection,
-/// decode error) bump the failure counter before the exception continues to
-/// the caller — the daemon's reload counters stay, this is the layer below.
+/// Count one open attempt; failures (missing file, validate_v2 rejection)
+/// bump the failure counter before the exception continues to the caller —
+/// the daemon's reload counters stay, this is the layer below.
 struct OpenScope {
   bool ok = false;
 
@@ -40,9 +39,7 @@ QueryIndex::QueryIndex(const Snapshot& snap)
 QueryIndex QueryIndex::open(const std::string& path) {
   OBS_SPAN("snapshot.open");
   OpenScope scope("eager");
-  std::vector<std::uint8_t> bytes = load_bytes(path);
-  Reader::probe(bytes);  // a reasoned rejection of any other format version
-  QueryIndex index{MappedSnapshot::from_bytes(std::move(bytes))};
+  QueryIndex index{MappedSnapshot::from_bytes(load_bytes(path))};
   scope.ok = true;
   return index;
 }
@@ -50,9 +47,7 @@ QueryIndex QueryIndex::open(const std::string& path) {
 QueryIndex QueryIndex::open_mapped(const std::string& path) {
   OBS_SPAN("snapshot.open");
   OpenScope scope("mapped");
-  MmapFile file(path);
-  Reader::probe(file.data());
-  QueryIndex index{MappedSnapshot::from_map(std::move(file))};
+  QueryIndex index{MappedSnapshot::from_map(MmapFile(path))};
   scope.ok = true;
   return index;
 }

@@ -5,6 +5,9 @@
 // rebuilt in-RAM structure: `lookup` is a branchless binary search over the
 // file's sorted link table, `neighbors` walks a CSR slice, and constructing
 // the index from a v2 file is map-validate-wrap with no per-entry decode.
+// It is how the library reads a snapshot file: `diff` (diff.hpp) merges two
+// indexes' link tables in place, and no path decodes an image back into a
+// Snapshot struct.
 // The view holds shared ownership of the image, so copies stay valid after
 // the file on disk changes and after a daemon hot-reload swap; the image is
 // unmapped/freed when the last view drops.
@@ -20,6 +23,8 @@
 #include "snapshot/snapshot.hpp"
 
 namespace htor::snapshot {
+
+struct Diff;
 
 class QueryIndex {
  public:
@@ -90,6 +95,9 @@ class QueryIndex {
   HybridCounters hybrid_counters() const { return view().hybrid_counters(); }
 
  private:
+  /// diff.hpp: merge-walks two indexes' link tables in place.
+  friend Diff diff(const QueryIndex& a, const QueryIndex& b);
+
   explicit QueryIndex(std::shared_ptr<const MappedSnapshot> image);
 
   const V2View& view() const { return image_->view(); }

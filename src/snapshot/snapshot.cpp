@@ -13,21 +13,4 @@ std::vector<std::pair<LinkKey, Relationship>> sorted_entries(const RelationshipM
   return out;
 }
 
-bool same_entries(const RelationshipMap& a, const RelationshipMap& b) {
-  if (a.size() != b.size()) return false;
-  bool same = true;
-  a.for_each([&](const LinkKey& key, Relationship rel) {
-    if (!b.contains(key) || b.get(key.first, key.second) != rel) same = false;
-  });
-  return same;
-}
-
-bool equal(const Snapshot& a, const Snapshot& b) {
-  return a.header == b.header && a.dataset == b.dataset && a.coverage_v4 == b.coverage_v4 &&
-         a.coverage_v6 == b.coverage_v6 && a.coverage_dual == b.coverage_dual &&
-         a.valleys_v4 == b.valleys_v4 && a.valleys_v6 == b.valleys_v6 &&
-         a.hybrid_counters == b.hybrid_counters && a.hybrids == b.hybrids &&
-         same_entries(a.rels_v4, b.rels_v4) && same_entries(a.rels_v6, b.rels_v6);
-}
-
 }  // namespace htor::snapshot

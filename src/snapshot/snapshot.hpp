@@ -5,8 +5,9 @@
 // relationship maps, the hybrid links, and the coverage/valley counters —
 // everything needed to diff two measurement epochs or answer AS-level
 // queries without re-running the census.  The on-disk form is a versioned,
-// big-endian binary format (see writer.hpp / reader.hpp) with the same
-// fail-clean discipline as the MRT readers.
+// big-endian binary format: writer.hpp encodes it, and every read goes
+// through layout.hpp's validate_v2 (the QueryIndex view and diff.hpp) with
+// the same fail-clean discipline as the MRT readers.
 #pragma once
 
 #include <cstdint>
@@ -24,13 +25,12 @@ inline constexpr std::uint32_t kMagic = 0x4854534eu;
 /// truncated or corrupt file.
 inline constexpr std::uint32_t kTrailer = 0x454e4453u;
 /// Current format version: v2, the mmap-able flat layout (layout.hpp).
-/// Readers reject every other version with a reasoned DecodeError, so old
-/// binaries fail cleanly on files from the future instead of misreading
+/// validate_v2 rejects every other version with a reasoned DecodeError, so
+/// old binaries fail cleanly on files from the future instead of misreading
 /// them, and a retired v1 file names the command that regenerates it.
 inline constexpr std::uint32_t kFormatVersion = 2;
 
 struct Header {
-  std::uint32_t version = kFormatVersion;
   std::uint64_t timestamp = 0;  ///< RIB epoch (MRT timestamp), unix seconds
   std::string source;           ///< path of the MRT file the census consumed
 
@@ -104,13 +104,7 @@ struct Snapshot {
 
 /// A RelationshipMap's entries in canonical LinkKey order (rel oriented
 /// key.first -> key.second).  This is the order the writer serializes and
-/// the reader enforces, so equal maps always produce equal bytes.
+/// validate_v2 enforces, so equal maps always produce equal bytes.
 std::vector<std::pair<LinkKey, Relationship>> sorted_entries(const RelationshipMap& map);
-
-/// Entry-wise map equality (same links, same oriented relationships).
-bool same_entries(const RelationshipMap& a, const RelationshipMap& b);
-
-/// Deep snapshot equality (header, counters, maps, hybrid list).
-bool equal(const Snapshot& a, const Snapshot& b);
 
 }  // namespace htor::snapshot

@@ -14,7 +14,10 @@
 #      nonzero churn; `diff` of a snapshot against itself reports zero churn;
 #      `query` resolves a known link (from truth.csv) in pair and
 #      neighbor-list mode; `diff`/`query` on a truncated snapshot fail
-#      without partial output.  The second census spells its option in the
+#      without partial output; `diff`/`query` on a snapshot patched to
+#      format v1 exit 1 with the `census --snapshot-out` hint on stderr and
+#      nothing on stdout (both skipped without /bin/sh, which does the
+#      clipping and patching).  The second census spells its option in the
 #      `--snapshot-out=<file>` form.
 #   7. `generate` argument validation: a garbage seed ("12x") and a trailing
 #      positional argument are both rejected.
@@ -286,6 +289,41 @@ if(SH_PROGRAM)
   endforeach()
 else()
   message(STATUS "cli_e2e: no sh found, skipping truncated-snapshot check")
+endif()
+
+# A retired v1 snapshot (byte 7, the low byte of the version field, patched
+# to 1) is rejected by validate_v2 under both commands: exit 1, nothing on
+# stdout, and the command that regenerates it named on stderr.
+if(SH_PROGRAM)
+  set(SNAP_V1 "${WORK_DIR}/a_v1.snap")
+  execute_process(COMMAND "${SH_PROGRAM}" -c
+                          "cp '${SNAP_A}' '${SNAP_V1}' && printf '\\001' | dd of='${SNAP_V1}' bs=1 seek=7 conv=notrunc 2>/dev/null"
+                  RESULT_VARIABLE rc)
+  file(READ "${SNAP_V1}" v1_version OFFSET 4 LIMIT 4 HEX)
+  if(NOT rc EQUAL 0 OR NOT v1_version STREQUAL "00000001")
+    message(FATAL_ERROR "could not patch a snapshot to v1 (rc=${rc}, version ${v1_version})")
+  endif()
+  foreach(snap_cmd "diff" "query")
+    if(snap_cmd STREQUAL "diff")
+      execute_process(COMMAND "${HYBRIDTOR}" diff "${SNAP_A}" "${SNAP_V1}"
+                      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    else()
+      execute_process(COMMAND "${HYBRIDTOR}" query "${SNAP_V1}" "${query_as}"
+                      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    endif()
+    if(NOT rc EQUAL 1)
+      message(FATAL_ERROR "${snap_cmd} on a v1 snapshot must exit 1 (rc=${rc}): ${err}")
+    endif()
+    if(NOT out STREQUAL "")
+      message(FATAL_ERROR "${snap_cmd} on a v1 snapshot printed output:\n${out}")
+    endif()
+    string(FIND "${err}" "census --snapshot-out" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${snap_cmd} on a v1 snapshot does not name the regenerate command: ${err}")
+    endif()
+  endforeach()
+else()
+  message(STATUS "cli_e2e: no sh found, skipping v1-snapshot check")
 endif()
 
 # --------------------------------------- 7. generate argument validation

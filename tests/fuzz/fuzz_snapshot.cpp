@@ -1,12 +1,14 @@
-// Fuzz target: the snapshot reader (snapshot::Reader::decode).
+// Fuzz target: the snapshot validator (snapshot::validate_v2), the one
+// reader every snapshot file goes through.
 //
-// Contract asserted per input: decode yields a full Snapshot or throws a
+// Contract asserted per input: validate_v2 yields a view or throws a
 // reasoned DecodeError.  Accepted inputs face a second, stronger oracle —
-// the format's canonical-encoding guarantee: re-encoding the decoded
-// snapshot must reproduce the input byte for byte.  A mutation the reader
-// accepts but cannot round-trip means the format stopped being injective
-// (some byte was silently ignored), which is exactly the class of bug that
-// breaks snapshot diffing and --jobs determinism.
+// the format's canonical-encoding guarantee: a Snapshot rebuilt from the
+// view (snapshot_rebuild.hpp, the test reference) must re-encode to the
+// input byte for byte.  A mutation the validator accepts but that cannot
+// round-trip means the format stopped being injective (some byte was
+// silently ignored), which is exactly the class of bug that breaks snapshot
+// diffing and --jobs determinism.
 //
 // On top of the generic mutator, a v2-specific pass perturbs the fields the
 // flat layout's validator exists for: the declared file size, the section
@@ -17,8 +19,8 @@
 #include "fuzz/driver.hpp"
 
 #include "snapshot/layout.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
+#include "snapshot_rebuild.hpp"
 #include "util/bytes.hpp"
 
 using namespace htor;
@@ -77,7 +79,7 @@ void mutate_v2_structure(std::vector<std::uint8_t>& bytes, Rng& rng) {
 int main(int argc, char** argv) {
   return fuzz::run_target("fuzz_snapshot", argc, argv,
                           [](const std::vector<std::uint8_t>& input) {
-    const auto snap = snapshot::Reader::decode(input);
+    const auto snap = snapshot::rebuild_snapshot(snapshot::validate_v2(input));
     const auto reencoded = snapshot::Writer::encode(snap);
     if (reencoded != input) {
       throw std::runtime_error("accepted input does not re-encode canonically (" +

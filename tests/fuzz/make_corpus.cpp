@@ -3,9 +3,10 @@
 //   fuzz_make_corpus <corpus_root>
 //
 // The seeds are deterministic (fixed generator seeds, fixed timestamps) so
-// re-running this tool produces byte-identical files; CI never runs it —
-// the corpora are committed, and this tool exists so they can be extended
-// or regenerated when a format grows new features.  Keep seeds small:
+// re-running this tool produces byte-identical files.  The corpora are
+// committed; the fuzz_corpus_fresh CTest regenerates them into the build
+// tree and fails when a file differs, so a change here must be committed
+// together with the regenerated corpus.  Keep seeds small:
 // mutation coverage per iteration scales with how much of the structure a
 // few flipped bytes can reach, and a 5 KB seed fuzzes far better than a
 // 5 MB one on the same budget.
@@ -117,6 +118,25 @@ void make_snapshot_seeds(const std::filesystem::path& dir) {
 
 // ----------------------------------------------------------------- updates
 
+mrt::Record update_record(std::uint32_t timestamp, std::vector<std::string> withdrawn,
+                          std::vector<std::string> announced) {
+  bgp::UpdateMessage update;
+  for (const auto& p : withdrawn) update.withdrawn.push_back(Prefix::parse(p));
+  if (!announced.empty()) {
+    update.attrs.origin = bgp::Origin::Igp;
+    update.attrs.as_path = bgp::AsPath::sequence({65001, 65002, 65003});
+    update.attrs.next_hop = IpAddress::parse("10.0.0.1");
+    for (const auto& p : announced) update.nlri.push_back(Prefix::parse(p));
+  }
+  mrt::Bgp4mpMessage msg;
+  msg.peer_as = 65001;
+  msg.local_as = 64500;
+  msg.peer_ip = IpAddress::parse("10.0.0.1");
+  msg.local_ip = IpAddress::parse("10.0.0.2");
+  msg.message = std::move(update);
+  return mrt::Record{timestamp, std::move(msg)};
+}
+
 void make_update_seeds(const std::filesystem::path& dir) {
   const auto net = gen::SyntheticInternet::generate(gen::small_params(7));
   const auto rib = net.collect();
@@ -142,6 +162,20 @@ void make_update_seeds(const std::filesystem::path& dir) {
     mrt::MrtWriter writer;
     for (const auto& record : gen::synthesize_updates(rib, params)) writer.write(record);
     write_file(dir / "updates_minimal.mrt", writer.data());
+  }
+
+  // Seed 3: UPDATEs that withdraw held IPv4 prefixes and announce in the
+  // same message — the shape fuzz_updates' structure pass strips the
+  // AS_PATH from, so a rejected message holds routes that a mutation before
+  // validation would lose.  The first frame's timestamp is a multiple of 3,
+  // so its routes are folded into the table; the second's stay in the
+  // overlay; the third withdraws one of each.
+  {
+    mrt::MrtWriter writer;
+    writer.write(update_record(1700000001u, {}, {"10.1.0.0/16", "10.2.0.0/16"}));
+    writer.write(update_record(1700000002u, {}, {"10.3.0.0/16"}));
+    writer.write(update_record(1700000003u, {"10.1.0.0/16", "10.3.0.0/16"}, {"10.4.0.0/16"}));
+    write_file(dir / "updates_withdraw_announce.mrt", writer.data());
   }
 }
 

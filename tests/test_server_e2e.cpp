@@ -38,7 +38,6 @@
 #include "server/daemon.hpp"
 #include "server/render.hpp"
 #include "snapshot/query.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 #include "util/json.hpp"
 
@@ -195,7 +194,7 @@ class ServerE2E : public ::testing::Test {
   /// What the CLI's `query --json` prints for the same snapshot, computed
   /// through the very same render functions the daemon uses.
   std::string expected_link_body(Asn a, Asn b) const {
-    const snapshot::QueryIndex index(snapshot::Reader::read_file(snap_path_));
+    const snapshot::QueryIndex index = snapshot::QueryIndex::open(snap_path_);
     const auto info = index.lookup(a, b);
     if (!info) {
       return error_json("AS" + std::to_string(a) + "-AS" + std::to_string(b) +
@@ -266,7 +265,7 @@ TEST_F(ServerE2E, NeighborsMatchCliJson) {
   const auto resp = fetch(port_, "GET", "/v1/neighbors/2");
   ASSERT_TRUE(resp.ok);
   EXPECT_EQ(resp.status, 200);
-  const snapshot::QueryIndex index(snapshot::Reader::read_file(snap_path_));
+  const snapshot::QueryIndex index = snapshot::QueryIndex::open(snap_path_);
   EXPECT_EQ(resp.body, neighbors_json(2, index.neighbors(2)));
   if (const auto cli = run_cli_stdout("query --json \"" + snap_path_ + "\" 2")) {
     EXPECT_EQ(resp.body, *cli);
@@ -301,7 +300,7 @@ TEST_F(ServerE2E, SummaryHealthzAndMetricsServe) {
 
 TEST_F(ServerE2E, ConcurrentClientsGetIdenticalCorrectAnswers) {
   const std::string want_link = expected_link_body(1, 2);
-  const snapshot::QueryIndex index(snapshot::Reader::read_file(snap_path_));
+  const snapshot::QueryIndex index = snapshot::QueryIndex::open(snap_path_);
   const std::string want_neighbors = neighbors_json(2, index.neighbors(2));
 
   constexpr int kThreads = 8;

@@ -1,12 +1,16 @@
 // Tests for the snapshot store: lossless deterministic round-trips, the MRT
-// readers' fail-clean discipline (truncation at any byte, wrong magic, other
-// versions, out-of-range values never yield a partial snapshot), the diff
-// engine, and the query index.
+// readers' fail-clean discipline in validate_v2 (truncation at any byte,
+// wrong magic, other versions, out-of-range values never yield a view), the
+// diff engine, and the query index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "core/census_report.hpp"
@@ -15,9 +19,10 @@
 #include "gen/internet.hpp"
 #include "rpsl/object.hpp"
 #include "snapshot/diff.hpp"
+#include "snapshot/layout.hpp"
 #include "snapshot/query.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
+#include "snapshot_rebuild.hpp"
 #include "util/bytes.hpp"
 
 namespace htor::snapshot {
@@ -70,23 +75,52 @@ constexpr std::size_t kTinyV2SecondLinkOffset = 404; ///< row 1: (2,3)
 constexpr std::size_t kTinyV2HybridClsOffset = 426;  ///< hybrid row class byte
 constexpr std::size_t kTinyV2Size = 452;
 
+/// Every link of `snap`'s two maps and hybrid list answers through `index`
+/// as recorded, and the index holds no link the snapshot lacks.
+void expect_index_matches(const QueryIndex& index, const Snapshot& snap) {
+  std::set<LinkKey> links;
+  for (const auto& [link, rel] : sorted_entries(snap.rels_v4)) {
+    links.insert(link);
+    const auto info = index.lookup(link.first, link.second);
+    ASSERT_TRUE(info.has_value()) << link.first << "-" << link.second;
+    EXPECT_EQ(info->rel_v4, rel);
+  }
+  for (const auto& [link, rel] : sorted_entries(snap.rels_v6)) {
+    links.insert(link);
+    const auto info = index.lookup(link.first, link.second);
+    ASSERT_TRUE(info.has_value()) << link.first << "-" << link.second;
+    EXPECT_EQ(info->rel_v6, rel);
+  }
+  std::set<LinkKey> hybrids;
+  for (const auto& h : snap.hybrids) {
+    links.insert(h.link);
+    hybrids.insert(h.link);
+    const auto info = index.lookup(h.link.first, h.link.second);
+    ASSERT_TRUE(info.has_value()) << h.link.first << "-" << h.link.second;
+    EXPECT_TRUE(info->hybrid);
+  }
+  EXPECT_EQ(index.link_count(), links.size());
+  EXPECT_EQ(index.hybrid_count(), hybrids.size());
+  EXPECT_EQ(index.hybrid_entry_count(), snap.hybrids.size());
+  EXPECT_EQ(index.source(), snap.header.source);
+  EXPECT_EQ(index.timestamp(), snap.header.timestamp);
+}
+
 TEST(SnapshotRoundTrip, TinyLossless) {
   const Snapshot original = tiny_snapshot();
   const auto bytes = Writer::encode(original);
   EXPECT_EQ(bytes.size(), kTinyV2Size);
 
-  const Snapshot decoded = Reader::decode(bytes);
-  EXPECT_TRUE(equal(original, decoded));
-  EXPECT_EQ(decoded.header.version, kFormatVersion);
-  EXPECT_EQ(decoded.header.timestamp, 1700000000u);
-  EXPECT_EQ(decoded.header.source, "tiny.mrt");
-  EXPECT_EQ(decoded.rels_v4.get(1, 2), Relationship::P2C);
-  EXPECT_EQ(decoded.rels_v4.get(2, 1), Relationship::C2P);
-  ASSERT_EQ(decoded.hybrids.size(), 1u);
-  EXPECT_EQ(decoded.hybrids[0].v6_path_visibility, 5u);
+  const Snapshot rebuilt = rebuild_snapshot(validate_v2(bytes));
+  EXPECT_EQ(rebuilt.header, original.header);
+  EXPECT_EQ(rebuilt.rels_v4.get(1, 2), Relationship::P2C);
+  EXPECT_EQ(rebuilt.rels_v4.get(2, 1), Relationship::C2P);
+  ASSERT_EQ(rebuilt.hybrids.size(), 1u);
+  EXPECT_EQ(rebuilt.hybrids[0].v6_path_visibility, 5u);
+  // Re-encoding what the view exposes reproduces the bytes exactly.
+  EXPECT_EQ(Writer::encode(rebuilt), bytes);
 
-  // Re-encoding the decoded snapshot reproduces the bytes exactly.
-  EXPECT_EQ(Writer::encode(decoded), bytes);
+  expect_index_matches(QueryIndex(original), original);
 }
 
 TEST(SnapshotRoundTrip, CensusLossless) {
@@ -96,16 +130,19 @@ TEST(SnapshotRoundTrip, CensusLossless) {
   ASSERT_GT(original.hybrids.size(), 0u);
 
   const auto bytes = Writer::encode(original);
-  const Snapshot decoded = Reader::decode(bytes);
-  EXPECT_TRUE(equal(original, decoded));
-  EXPECT_EQ(decoded.dataset, original.dataset);
-  EXPECT_EQ(decoded.coverage_dual, original.coverage_dual);
-  EXPECT_EQ(decoded.valleys_v6, original.valleys_v6);
-  EXPECT_EQ(decoded.hybrid_counters, original.hybrid_counters);
-  EXPECT_EQ(decoded.hybrids, original.hybrids);
-  EXPECT_TRUE(same_entries(decoded.rels_v4, original.rels_v4));
-  EXPECT_TRUE(same_entries(decoded.rels_v6, original.rels_v6));
-  EXPECT_EQ(Writer::encode(decoded), bytes);
+  const Snapshot rebuilt = rebuild_snapshot(validate_v2(bytes));
+  EXPECT_EQ(rebuilt.header, original.header);
+  EXPECT_EQ(rebuilt.dataset, original.dataset);
+  EXPECT_EQ(rebuilt.coverage_dual, original.coverage_dual);
+  EXPECT_EQ(rebuilt.valleys_v6, original.valleys_v6);
+  EXPECT_EQ(rebuilt.hybrid_counters, original.hybrid_counters);
+  EXPECT_EQ(rebuilt.hybrids, original.hybrids);
+  EXPECT_EQ(Writer::encode(rebuilt), bytes);
+
+  const QueryIndex index(original);
+  expect_index_matches(index, original);
+  EXPECT_EQ(index.dataset(), original.dataset);
+  EXPECT_EQ(index.hybrid_counters(), original.hybrid_counters);
 }
 
 // The canonical encoding is independent of map insertion order and of the
@@ -150,11 +187,11 @@ TEST(SnapshotRoundTrip, CensusJobsDeterministic) {
 TEST(SnapshotFile, RoundTripAndMissingFile) {
   const std::string path = ::testing::TempDir() + "/roundtrip.snap";
   Writer::write_file(census_snapshot(), path);
-  const Snapshot loaded = Reader::read_file(path);
-  EXPECT_TRUE(equal(loaded, census_snapshot()));
+  EXPECT_EQ(load_bytes(path), Writer::encode(census_snapshot()));
+  expect_index_matches(QueryIndex::open(path), census_snapshot());
   std::remove(path.c_str());
 
-  EXPECT_THROW(Reader::read_file("/nonexistent/nope.snap"), Error);
+  EXPECT_THROW(QueryIndex::open("/nonexistent/nope.snap"), Error);
   EXPECT_THROW(Writer::write_file(census_snapshot(), "/nonexistent/dir/out.snap"), Error);
 }
 
@@ -165,7 +202,7 @@ TEST(SnapshotRobustness, TruncationSweepEveryByte) {
   const auto bytes = Writer::encode(tiny_snapshot());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     const std::span<const std::uint8_t> cut(bytes.data(), len);
-    EXPECT_THROW(Reader::decode(cut), DecodeError) << "cut at " << len;
+    EXPECT_THROW(validate_v2(cut), DecodeError) << "cut at " << len;
   }
 }
 
@@ -175,7 +212,7 @@ TEST(SnapshotRobustness, TruncationSweepCensusStrided) {
   const auto bytes = Writer::encode(census_snapshot());
   for (std::size_t len = 0; len < bytes.size(); len += (len < 512 ? 7 : 487)) {
     const std::span<const std::uint8_t> cut(bytes.data(), len);
-    EXPECT_THROW(Reader::decode(cut), DecodeError) << "cut at " << len;
+    EXPECT_THROW(validate_v2(cut), DecodeError) << "cut at " << len;
   }
 }
 
@@ -183,8 +220,8 @@ TEST(SnapshotRobustness, WrongMagicIsReasoned) {
   auto bytes = Writer::encode(tiny_snapshot());
   bytes[0] ^= 0xff;
   try {
-    Reader::decode(bytes);
-    FAIL() << "decode accepted a bad magic";
+    validate_v2(bytes);
+    FAIL() << "validate_v2 accepted a bad magic";
   } catch (const DecodeError& e) {
     EXPECT_NE(std::string(e.what()).find("magic"), std::string::npos) << e.what();
   }
@@ -198,17 +235,17 @@ TEST(SnapshotRobustness, FutureVersionIsReasoned) {
   bytes[6] = 0;
   bytes[7] = static_cast<std::uint8_t>(kFormatVersion + 1);
   try {
-    Reader::decode(bytes);
-    FAIL() << "decode accepted a future format version";
+    validate_v2(bytes);
+    FAIL() << "validate_v2 accepted a future format version";
   } catch (const DecodeError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
   }
   // Version 0 is equally invalid.
   bytes[7] = 0;
-  EXPECT_THROW(Reader::decode(bytes), DecodeError);
+  EXPECT_THROW(validate_v2(bytes), DecodeError);
 }
 
-// Format v1 is retired.  Every entry point — decode, probe, and both
+// Format v1 is retired.  Every entry point — validate_v2 and both
 // QueryIndex opens — rejects a v1 image with a reason that names the
 // command which regenerates the snapshot in the current format.
 TEST(SnapshotRobustness, RetiredV1NamesTheRegenerateCommand) {
@@ -227,8 +264,10 @@ TEST(SnapshotRobustness, RetiredV1NamesTheRegenerateCommand) {
           << what << ": " << e.what();
     }
   };
-  expect_hint([&] { Reader::decode(bytes); }, "Reader::decode");
-  expect_hint([&] { Reader::probe(bytes); }, "Reader::probe");
+  expect_hint([&] { validate_v2(bytes); }, "validate_v2");
+  // A v1 file shorter than a v2 header is rejected for its version too.
+  expect_hint([&] { validate_v2(std::span<const std::uint8_t>(bytes.data(), 64)); },
+              "validate_v2 (short)");
   expect_hint([&] { QueryIndex::open(path); }, "QueryIndex::open");
   expect_hint([&] { QueryIndex::open_mapped(path); }, "QueryIndex::open_mapped");
   std::remove(path.c_str());
@@ -237,14 +276,14 @@ TEST(SnapshotRobustness, RetiredV1NamesTheRegenerateCommand) {
 TEST(SnapshotRobustness, TrailingGarbageThrows) {
   auto bytes = Writer::encode(tiny_snapshot());
   bytes.push_back(0x00);
-  EXPECT_THROW(Reader::decode(bytes), DecodeError);
+  EXPECT_THROW(validate_v2(bytes), DecodeError);
 }
 
 TEST(SnapshotRobustness, OutOfRangeRelationshipThrows) {
   auto v2 = Writer::encode(tiny_snapshot());
   ASSERT_EQ(v2[kTinyV2FirstRelOffset], static_cast<std::uint8_t>(Relationship::P2C));
   v2[kTinyV2FirstRelOffset] = 9;
-  EXPECT_THROW(Reader::decode(v2), DecodeError);
+  EXPECT_THROW(validate_v2(v2), DecodeError);
 }
 
 TEST(SnapshotRobustness, OutOfRangeHybridClassThrows) {
@@ -252,7 +291,7 @@ TEST(SnapshotRobustness, OutOfRangeHybridClassThrows) {
   ASSERT_EQ(v2[kTinyV2HybridClsOffset],
             static_cast<std::uint8_t>(core::HybridClass::TransitV4PeerV6));
   v2[kTinyV2HybridClsOffset] = 7;
-  EXPECT_THROW(Reader::decode(v2), DecodeError);
+  EXPECT_THROW(validate_v2(v2), DecodeError);
 }
 
 TEST(SnapshotRobustness, NonCanonicalPairThrows) {
@@ -261,7 +300,7 @@ TEST(SnapshotRobustness, NonCanonicalPairThrows) {
   auto v2 = Writer::encode(tiny_snapshot());
   std::copy(std::begin(swapped), std::end(swapped),
             v2.begin() + static_cast<long>(kTinyV2FirstLinkOffset));
-  EXPECT_THROW(Reader::decode(v2), DecodeError);
+  EXPECT_THROW(validate_v2(v2), DecodeError);
 }
 
 TEST(SnapshotRobustness, OutOfOrderEntriesThrow) {
@@ -271,7 +310,7 @@ TEST(SnapshotRobustness, OutOfOrderEntriesThrow) {
   auto v2 = Writer::encode(tiny_snapshot());
   std::copy(std::begin(duplicate), std::end(duplicate),
             v2.begin() + static_cast<long>(kTinyV2SecondLinkOffset));
-  EXPECT_THROW(Reader::decode(v2), DecodeError);
+  EXPECT_THROW(validate_v2(v2), DecodeError);
 }
 
 // A garbage count field must fail against the bytes actually present, before
@@ -280,8 +319,8 @@ TEST(SnapshotRobustness, CountOverrunFailsFast) {
   auto v2 = Writer::encode(tiny_snapshot());
   for (std::size_t i = 0; i < 8; ++i) v2[kTinyV2LinkCountOffset + i] = 0xff;
   try {
-    Reader::decode(v2);
-    FAIL() << "decode accepted an absurd v2 link count";
+    validate_v2(v2);
+    FAIL() << "validate_v2 accepted an absurd v2 link count";
   } catch (const DecodeError& e) {
     EXPECT_NE(std::string(e.what()).find("overruns"), std::string::npos) << e.what();
   }
@@ -293,8 +332,8 @@ TEST(SnapshotRobustness, V2StructuralCorruptionIsReasoned) {
   const auto pristine = Writer::encode(tiny_snapshot());
   const auto expect_reason = [&](std::vector<std::uint8_t> bytes, const char* needle) {
     try {
-      Reader::decode(bytes);
-      FAIL() << "decode accepted a corrupt v2 image (wanted: " << needle << ")";
+      validate_v2(bytes);
+      FAIL() << "validate_v2 accepted a corrupt v2 image (wanted: " << needle << ")";
     } catch (const DecodeError& e) {
       EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
     }
@@ -346,29 +385,27 @@ TEST(SnapshotWriter, RejectsUnencodableSnapshots) {
   EXPECT_THROW(Writer::encode(long_source), InvalidArgument);
 }
 
-TEST(SnapshotProbe, ReadsHeaderOnly) {
-  const auto bytes = Writer::encode(census_snapshot());
-  const Header header = Reader::probe(bytes);
-  EXPECT_EQ(header.version, kFormatVersion);
-  EXPECT_EQ(header.timestamp, 1281052800u);
-  EXPECT_EQ(header.source, "census/rib.mrt");
-  // Probing a buffer cut inside the header still fails cleanly.
-  const std::span<const std::uint8_t> cut(bytes.data(), 10);
-  EXPECT_THROW(Reader::probe(cut), DecodeError);
-}
-
 // ---------------------------------------------------------------- diff
+
+/// Snapshot holding only the given per-family maps.
+Snapshot maps_only(RelationshipMap v4, RelationshipMap v6 = {}) {
+  Snapshot snap;
+  snap.rels_v4 = std::move(v4);
+  snap.rels_v6 = std::move(v6);
+  return snap;
+}
 
 TEST(SnapshotDiff, SelfDiffIsZeroChurn) {
   const Snapshot& snap = census_snapshot();
-  const Diff diff = diff_snapshots(snap, snap);
-  EXPECT_EQ(diff.total_churn(), 0u);
-  EXPECT_EQ(diff.v4.unchanged, snap.rels_v4.size());
-  EXPECT_EQ(diff.v6.unchanged, snap.rels_v6.size());
-  EXPECT_EQ(diff.hybrids_stable, snap.hybrids.size());
-  EXPECT_TRUE(diff.v4.appeared.empty());
-  EXPECT_TRUE(diff.v4.vanished.empty());
-  EXPECT_TRUE(diff.v4.flips.empty());
+  const QueryIndex index(snap);
+  const Diff self = diff(index, index);
+  EXPECT_EQ(self.total_churn(), 0u);
+  EXPECT_EQ(self.v4.unchanged, snap.rels_v4.size());
+  EXPECT_EQ(self.v6.unchanged, snap.rels_v6.size());
+  EXPECT_EQ(self.hybrids_stable, snap.hybrids.size());
+  EXPECT_TRUE(self.v4.appeared.empty());
+  EXPECT_TRUE(self.v4.vanished.empty());
+  EXPECT_TRUE(self.v4.flips.empty());
 }
 
 TEST(SnapshotDiff, ReportsChurnBuckets) {
@@ -381,14 +418,31 @@ TEST(SnapshotDiff, ReportsChurnBuckets) {
   b.set(2, 3, Relationship::P2P);
   b.set(4, 5, Relationship::S2S);   // appears
 
-  const FamilyDiff diff = diff_relationships(a, b);
-  EXPECT_EQ(diff.appeared, (std::vector<LinkKey>{LinkKey(4, 5)}));
-  EXPECT_EQ(diff.vanished, (std::vector<LinkKey>{LinkKey(3, 4)}));
-  ASSERT_EQ(diff.flips.size(), 1u);
-  EXPECT_EQ(diff.flips[0],
+  const FamilyDiff fam =
+      diff(QueryIndex(maps_only(std::move(a))), QueryIndex(maps_only(std::move(b)))).v4;
+  EXPECT_EQ(fam.appeared, (std::vector<LinkKey>{LinkKey(4, 5)}));
+  EXPECT_EQ(fam.vanished, (std::vector<LinkKey>{LinkKey(3, 4)}));
+  ASSERT_EQ(fam.flips.size(), 1u);
+  EXPECT_EQ(fam.flips[0],
             (RelChange{LinkKey(1, 2), Relationship::P2C, Relationship::P2P}));
-  EXPECT_EQ(diff.unchanged, 1u);
-  EXPECT_EQ(diff.churn(), 3u);
+  EXPECT_EQ(fam.unchanged, 1u);
+  EXPECT_EQ(fam.churn(), 3u);
+}
+
+// A link row present on both sides but for different families: each family
+// files it on its own, so v4 loses the link while v6 gains it.
+TEST(SnapshotDiff, FamiliesChurnIndependentlyOnOneLink) {
+  RelationshipMap a_v4;
+  a_v4.set(1, 2, Relationship::P2C);
+  RelationshipMap b_v6;
+  b_v6.set(2, 1, Relationship::C2P);  // stored as (1,2) P2C
+  const Diff d = diff(QueryIndex(maps_only(std::move(a_v4))),
+                      QueryIndex(maps_only({}, std::move(b_v6))));
+  EXPECT_EQ(d.v4.vanished, (std::vector<LinkKey>{LinkKey(1, 2)}));
+  EXPECT_TRUE(d.v4.appeared.empty());
+  EXPECT_EQ(d.v6.appeared, (std::vector<LinkKey>{LinkKey(1, 2)}));
+  EXPECT_TRUE(d.v6.vanished.empty());
+  EXPECT_EQ(d.total_churn(), 2u);
 }
 
 TEST(SnapshotDiff, TracksHybridFormationAndResolution) {
@@ -398,27 +452,117 @@ TEST(SnapshotDiff, TracksHybridFormationAndResolution) {
   b.hybrids.push_back({LinkKey(2, 3), Relationship::P2P, Relationship::P2C,
                        static_cast<std::uint8_t>(core::HybridClass::PeerV4TransitV6), 3});
 
-  const Diff diff = diff_snapshots(a, b);
-  EXPECT_EQ(diff.hybrids_formed, (std::vector<LinkKey>{LinkKey(2, 3)}));
-  EXPECT_EQ(diff.hybrids_resolved, (std::vector<LinkKey>{LinkKey(1, 2)}));
-  EXPECT_EQ(diff.hybrids_stable, 0u);
-  EXPECT_EQ(diff.v4.churn(), 0u);
-  EXPECT_EQ(diff.v6.churn(), 0u);
-  EXPECT_EQ(diff.total_churn(), 2u);
+  const Diff d = diff(QueryIndex(a), QueryIndex(b));
+  EXPECT_EQ(d.hybrids_formed, (std::vector<LinkKey>{LinkKey(2, 3)}));
+  EXPECT_EQ(d.hybrids_resolved, (std::vector<LinkKey>{LinkKey(1, 2)}));
+  EXPECT_EQ(d.hybrids_stable, 0u);
+  EXPECT_EQ(d.v4.churn(), 0u);
+  EXPECT_EQ(d.v6.churn(), 0u);
+  EXPECT_EQ(d.total_churn(), 2u);
+}
+
+// The hybrid table may list one link more than once (it is stored verbatim),
+// but the diff compares hybrid links as sets: a repeated entry is one link.
+TEST(SnapshotDiff, RepeatedHybridEntriesDiffAsASet) {
+  Snapshot twice = tiny_snapshot();  // hybrid on (1,2)...
+  twice.hybrids.push_back(twice.hybrids.front());  // ...listed twice
+  Snapshot none = tiny_snapshot();
+  none.hybrids.clear();
+  const QueryIndex a(twice);
+  ASSERT_EQ(a.hybrid_entry_count(), 2u);
+  ASSERT_EQ(a.hybrid_count(), 1u);
+
+  const Diff self = diff(a, a);
+  EXPECT_EQ(self.hybrids_stable, 1u);
+  EXPECT_EQ(self.total_churn(), 0u);
+
+  const Diff once = diff(a, QueryIndex(tiny_snapshot()));
+  EXPECT_EQ(once.hybrids_stable, 1u);
+  EXPECT_EQ(once.total_churn(), 0u);
+
+  const Diff resolved = diff(a, QueryIndex(none));
+  EXPECT_EQ(resolved.hybrids_resolved, (std::vector<LinkKey>{LinkKey(1, 2)}));
+  const Diff formed = diff(QueryIndex(none), a);
+  EXPECT_EQ(formed.hybrids_formed, (std::vector<LinkKey>{LinkKey(1, 2)}));
 }
 
 // Diff output is canonically ordered: shuffled insertion produces the same
 // sorted vectors.
 TEST(SnapshotDiff, OutputIsCanonicallyOrdered) {
-  RelationshipMap a;
   RelationshipMap b;
   for (const Asn asn : {9, 3, 7, 5}) {
     b.set(asn, asn + 1, Relationship::P2P);
   }
-  const FamilyDiff diff = diff_relationships(a, b);
+  const FamilyDiff fam = diff(QueryIndex(Snapshot{}), QueryIndex(maps_only(std::move(b)))).v4;
   const std::vector<LinkKey> expected = {LinkKey(3, 4), LinkKey(5, 6), LinkKey(7, 8),
                                          LinkKey(9, 10)};
-  EXPECT_EQ(diff.appeared, expected);
+  EXPECT_EQ(fam.appeared, expected);
+}
+
+/// Reference churn for one family: two ordered maps, walked key by key.
+FamilyDiff reference_family(const RelationshipMap& a, const RelationshipMap& b) {
+  std::map<LinkKey, Relationship> ma;
+  std::map<LinkKey, Relationship> mb;
+  for (const auto& [link, rel] : sorted_entries(a)) ma.emplace(link, rel);
+  for (const auto& [link, rel] : sorted_entries(b)) mb.emplace(link, rel);
+  FamilyDiff out;
+  for (const auto& [link, rel] : ma) {
+    const auto it = mb.find(link);
+    if (it == mb.end()) {
+      out.vanished.push_back(link);
+    } else if (it->second != rel) {
+      out.flips.push_back({link, rel, it->second});
+    } else {
+      ++out.unchanged;
+    }
+  }
+  for (const auto& [link, rel] : mb) {
+    if (!ma.contains(link)) out.appeared.push_back(link);
+  }
+  return out;
+}
+
+// The merge over two images agrees with a map-based reference on a census
+// snapshot and a copy perturbed in every bucket: flipped, dropped and new
+// links in both families, and hybrids resolved and formed.
+TEST(SnapshotDiff, MatchesAMapReferenceOnCensusChurn) {
+  const Snapshot& a = census_snapshot();
+  Snapshot b = a;
+  std::size_t i = 0;
+  for (const auto& [link, rel] : sorted_entries(a.rels_v4)) {
+    if (i % 5 == 0) b.rels_v4.erase(link.first, link.second);
+    if (i % 7 == 0) b.rels_v6.set(link.first, link.second, Relationship::S2S);
+    ++i;
+  }
+  for (const auto& [link, rel] : sorted_entries(a.rels_v6)) {
+    if (i++ % 3 == 0) {
+      b.rels_v6.set(link.first, link.second,
+                    rel == Relationship::P2P ? Relationship::P2C : Relationship::P2P);
+    }
+  }
+  b.rels_v4.set(4000000001u, 4000000002u, Relationship::P2C);
+  ASSERT_GE(b.hybrids.size(), 2u);
+  b.hybrids.erase(b.hybrids.begin());
+  b.hybrids.push_back({LinkKey(4000000001u, 4000000002u), Relationship::P2C,
+                       Relationship::Unknown, 0, 1});
+
+  const Diff d = diff(QueryIndex(a), QueryIndex(b));
+  EXPECT_EQ(d.v4, reference_family(a.rels_v4, b.rels_v4));
+  EXPECT_EQ(d.v6, reference_family(a.rels_v6, b.rels_v6));
+  EXPECT_GT(d.v4.vanished.size(), 0u);
+  EXPECT_GT(d.v6.flips.size(), 0u);
+
+  std::set<LinkKey> ha;
+  std::set<LinkKey> hb;
+  for (const auto& h : a.hybrids) ha.insert(h.link);
+  for (const auto& h : b.hybrids) hb.insert(h.link);
+  std::vector<LinkKey> formed;
+  std::vector<LinkKey> resolved;
+  std::ranges::set_difference(hb, ha, std::back_inserter(formed));
+  std::ranges::set_difference(ha, hb, std::back_inserter(resolved));
+  EXPECT_EQ(d.hybrids_formed, formed);
+  EXPECT_EQ(d.hybrids_resolved, resolved);
+  EXPECT_EQ(d.hybrids_stable, ha.size() - resolved.size());
 }
 
 // ---------------------------------------------------------------- query

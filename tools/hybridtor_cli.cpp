@@ -96,7 +96,6 @@
 #include "server/render.hpp"
 #include "snapshot/diff.hpp"
 #include "snapshot/query.hpp"
-#include "snapshot/reader.hpp"
 #include "snapshot/writer.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -439,28 +438,37 @@ int cmd_inspect(const std::string& mrt_path) {
   return 0;
 }
 
-snapshot::Snapshot load_snapshot(const std::string& path) {
+/// mmap-backed: the kernel pages in only what the command reads.
+snapshot::QueryIndex open_snapshot(const std::string& path) {
   try {
-    return snapshot::Reader::read_file(path);
+    return snapshot::QueryIndex::open_mapped(path);
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }
 }
 
-std::string describe(const snapshot::Snapshot& snap) {
-  return snap.header.source + " @ " + std::to_string(snap.header.timestamp) + " (v4 links " +
-         std::to_string(snap.rels_v4.size()) + ", v6 links " +
-         std::to_string(snap.rels_v6.size()) + ", hybrids " +
-         std::to_string(snap.hybrids.size()) + ")";
+/// One side of a diff; its per-family link counts are the diff buckets that
+/// side's links fall into.
+std::string describe(const snapshot::QueryIndex& index, std::uint64_t v4_links,
+                     std::uint64_t v6_links) {
+  return index.source() + " @ " + std::to_string(index.timestamp()) + " (v4 links " +
+         std::to_string(v4_links) + ", v6 links " + std::to_string(v6_links) + ", hybrids " +
+         std::to_string(index.hybrid_entry_count()) + ")";
 }
 
 int cmd_diff(const std::string& path_a, const std::string& path_b) {
-  const auto a = load_snapshot(path_a);
-  const auto b = load_snapshot(path_b);
-  const auto diff = snapshot::diff_snapshots(a, b);
+  const auto a = open_snapshot(path_a);
+  const auto b = open_snapshot(path_b);
+  const auto diff = snapshot::diff(a, b);
 
-  std::cout << "a: " << path_a << ": " << describe(a) << "\n"
-            << "b: " << path_b << ": " << describe(b) << "\n\n";
+  const auto in_a = [](const snapshot::FamilyDiff& fam) {
+    return fam.vanished.size() + fam.flips.size() + fam.unchanged;
+  };
+  const auto in_b = [](const snapshot::FamilyDiff& fam) {
+    return fam.appeared.size() + fam.flips.size() + fam.unchanged;
+  };
+  std::cout << "a: " << path_a << ": " << describe(a, in_a(diff.v4), in_a(diff.v6)) << "\n"
+            << "b: " << path_b << ": " << describe(b, in_b(diff.v4), in_b(diff.v6)) << "\n\n";
 
   Table t({"family", "appeared", "vanished", "flips", "unchanged"});
   const auto row = [&](const char* name, const snapshot::FamilyDiff& fam) {
@@ -493,15 +501,9 @@ int cmd_diff(const std::string& path_a, const std::string& path_b) {
 }
 
 int cmd_query(const std::string& snap_path, Asn asn, std::optional<Asn> other, bool json) {
-  // mmap-backed: the kernel pages in only the header plus the few link rows
-  // the binary search touches.
-  const snapshot::QueryIndex index = [&] {
-    try {
-      return snapshot::QueryIndex::open_mapped(snap_path);
-    } catch (const Error& e) {
-      throw Error(snap_path + ": " + e.what());
-    }
-  }();
+  // The kernel pages in only the header plus the few link rows the binary
+  // search touches.
+  const snapshot::QueryIndex index = open_snapshot(snap_path);
   if (!json) {
     std::cout << snap_path << ": format v" << index.format_version() << ", "
               << index.snapshot_bytes() << " bytes" << (index.is_mapped() ? ", mapped" : "")
